@@ -9,11 +9,10 @@ digest, so the service compiles each registered plan at most once.
 section.
 
 Execution (:meth:`CompiledTermPlan.execute`) never touches the lambda
-runtime: rows come straight from the set-backed executor and the
-response-side normal form is *synthesized* with
-:func:`repro.db.encode.encode_relation` — building a Definition 3.1
-encoding of an already-computed relation is list construction, not
-beta-reduction.
+runtime: rows come straight from the set-backed executor and the run is
+handed back as a relation.  No Church encoding is built on this path —
+the serving layer rebuilds the answer's term only when a caller reads
+it (:func:`repro.service.engines.relation_term`).
 """
 
 from __future__ import annotations
@@ -79,7 +78,6 @@ class CompiledRun:
 
     relation: Relation
     decoded: DecodedRelation
-    normal_form: Term
     ops: int
 
 
@@ -112,14 +110,7 @@ class CompiledTermPlan:
             had_duplicates=len(rows) != len(relation),
             eta_variant=False,
         )
-        from repro.db.encode import encode_relation
-
-        return CompiledRun(
-            relation=relation,
-            decoded=decoded,
-            normal_form=encode_relation(relation),
-            ops=ops,
-        )
+        return CompiledRun(relation=relation, decoded=decoded, ops=ops)
 
 
 def _depth(node: Node) -> int:

@@ -29,7 +29,6 @@ from itertools import product as cartesian
 from typing import List, Optional, Set, Tuple
 
 from repro.db.decode import DecodedRelation
-from repro.db.encode import encode_relation
 from repro.db.relations import Database, Relation
 from repro.errors import SchemaError
 from repro.eval.ptime import FixpointRun
@@ -138,16 +137,10 @@ def run_fixpoint_query_compiled(
     ops += crank_length
     stage_relation = Relation(k, canonical)
 
-    decoded = DecodedRelation(
-        relation=stage_relation,
-        raw_tuples=stage_relation.tuples,
-        had_duplicates=False,
-        eta_variant=False,
-    )
     return FixpointRun(
         relation=stage_relation,
-        decoded=decoded,
-        normal_form=encode_relation(stage_relation),
+        decoded=DecodedRelation.of(stage_relation),
+        normal_form=None,
         stages=stages_run,
         stage_sizes=stage_sizes,
         converged_at=converged_at,

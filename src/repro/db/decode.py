@@ -40,6 +40,12 @@ class DecodedRelation:
     had_duplicates: bool
     eta_variant: bool
 
+    @staticmethod
+    def of(relation: Relation) -> "DecodedRelation":
+        """A relation computed directly rather than decoded from a term:
+        its raw list is its own duplicate-free tuple list."""
+        return DecodedRelation(relation, relation.tuples, False, False)
+
 
 def decode_relation(term: Term, arity: Optional[int] = None) -> DecodedRelation:
     """Read a relation from a normal-form encoding.

@@ -43,6 +43,16 @@ class Relation:
         # oracle comparisons and probe-heavy evaluation stay linear.
         object.__setattr__(self, "_index", index)
 
+    def __getstate__(self) -> dict:
+        # Only the value and its index cross a pickle (shard snapshots);
+        # memos other layers attach, such as the Church encoding that
+        # repro.service.engines caches here, stay in their process.
+        return {
+            "arity": self.arity,
+            "tuples": self.tuples,
+            "_index": self._index,  # type: ignore[attr-defined]
+        }
+
     # -- construction -------------------------------------------------------
 
     @staticmethod

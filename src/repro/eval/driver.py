@@ -14,12 +14,13 @@ Engines:
   exposes step counts, used by the complexity experiments.
 * ``"applicative"`` — small-step, applicative order.
 
-:func:`run_query` is the *one-shot* entry point: it encodes the database
-and normalizes from scratch on every call.  It is a thin wrapper over the
-service runtime's uncached path (:func:`repro.service.runtime.run_once`);
-for repeated queries over the same databases use
-:class:`repro.service.QueryService`, which encodes once per database
-version and caches normal forms.
+:func:`run_query` is the *one-shot* entry point: it normalizes from
+scratch on every call (only the encodings are memoized, on the relations
+themselves — :func:`repro.service.engines.relation_term`).  It is a thin
+wrapper over the service runtime's uncached path
+(:func:`repro.service.runtime.run_once`); for repeated queries over the
+same databases use :class:`repro.service.QueryService`, which caches
+answers.
 """
 
 from __future__ import annotations

@@ -73,7 +73,9 @@ class FixpointRun:
 
     relation: Relation
     decoded: DecodedRelation
-    normal_form: Term
+    #: The final stage's term; ``None`` when no term was reduced (the
+    #: set-based runner of :mod:`repro.compile.fixpoint`).
+    normal_form: Optional[Term]
     stages: int
     stage_sizes: List[int]
     converged_at: Optional[int]

@@ -48,7 +48,6 @@ from urllib.parse import parse_qs
 
 from repro import __version__
 from repro.analysis.analyzer import fuel_budget
-from repro.analysis.cost import DatabaseStats
 from repro.analysis.provenance import (
     check_schema_contract,
     database_schema,
@@ -192,15 +191,12 @@ class QueryEdge:
         catalog = self.service.catalog
         prices = []
         for db_entry in catalog.databases():
-            stats = db_entry.stats
-            if stats is None:
-                stats = DatabaseStats.of(db_entry.database)
             for query_entry in catalog.queries():
                 # Price each plan against its read-set's statistics
                 # (TLI023): relations the plan never scans cannot
                 # contribute to its Theorem 5.1 bound.
                 priced_stats = read_set_stats(
-                    query_entry.provenance, db_entry.database, stats
+                    query_entry.provenance, db_entry.database, db_entry.stats
                 )
                 prices.append(fuel_budget(
                     query_entry.effective_cost, priced_stats,
@@ -668,13 +664,12 @@ class QueryEdge:
                 )
         if spec.fuel is not None:
             return database, max(1, spec.fuel)
-        stats = db_entry.stats
-        if stats is None:
-            stats = DatabaseStats.of(db_entry.database)
         # Admission prices against the read-set-restricted statistics
         # (TLI023); the evaluation budget itself is set by the runtime
         # from the full statistics, so this only tightens admission.
-        stats = read_set_stats(entry.provenance, db_entry.database, stats)
+        stats = read_set_stats(
+            entry.provenance, db_entry.database, db_entry.stats
+        )
         fuel = fuel_budget(
             entry.effective_cost, stats,
             default=self.config.uncertified_fuel,

@@ -3,8 +3,8 @@
 The paper's central move — queries are *terms* applied to *encoded
 databases* (Definition 3.10) — makes a serving layer unusually clean:
 
-* the encoding of a database is a value, computable once per database
-  version (:mod:`repro.service.catalog`);
+* the encoding of a relation is a value, built once and only for the
+  engines that reduce over it (:mod:`repro.service.engines`);
 * a query's normal form is a pure function of (query term, database
   version), so results are perfectly cacheable under a structural term
   digest (:mod:`repro.service.cache`, :func:`repro.lam.terms.digest`);

@@ -1,4 +1,4 @@
-"""The plan/result cache: normal forms keyed by structural digests.
+"""The result cache: query answers keyed by structural digests.
 
 A query's normal form is a pure function of the query term and the encoded
 database (strong normalization + Church-Rosser, Properties 1-2 of
@@ -57,7 +57,9 @@ class CachedResult:
 
     relation: Relation
     decoded: DecodedRelation
-    normal_form: Term
+    #: The normal form a reduction engine reached; ``None`` for set-engine
+    #: results (``QueryResponse.normal_form`` rebuilds their term on read).
+    normal_form: Optional[Term]
     engine: str
     steps: Optional[int]
     stages: Optional[int]

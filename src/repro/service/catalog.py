@@ -3,10 +3,13 @@
 Registration is where the one-time work happens, so requests don't repeat
 it:
 
-* **Databases** are encoded once (Definition 3.1) at registration; the
-  encoded terms are shared by every request until the next
-  :meth:`Catalog.update_database`, which bumps the entry's version (the
-  cache key component) and reports the stale name for eager invalidation.
+* **Databases** get a content digest, size statistics and a
+  per-relation version vector; :meth:`Catalog.update_database` and
+  :meth:`Catalog.apply` bump the versions of exactly the relations that
+  changed (the cache key components).  The catalog builds no Church
+  encodings: the reduction engines encode a relation on first use
+  (:mod:`repro.service.engines`, memoized per relation), and the ``"ra"``
+  engine never needs one.
 * **Query terms** are type-checked and order-checked once (Lemma 3.9 via
   :func:`repro.queries.language.recognize_tli` when an arity signature is
   supplied, plain principal-type reconstruction otherwise), hash-consed,
@@ -29,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.analysis.analyzer import analyze_fixpoint, analyze_term
@@ -44,13 +48,16 @@ from repro.compile import (
     compile_decision,
     decision_for_fixpoint,
 )
-from repro.db.encode import encode_relation
 from repro.db.relations import Database, Relation
 from repro.errors import EvaluationError, SchemaError
 from repro.lam.terms import Term, digest, intern_term
 from repro.queries.fixpoint import FixpointQuery, build_fixpoint_query
 from repro.queries.language import QueryArity, recognize_tli
-from repro.service.engines import FIXPOINT_ENGINE, validate_engine
+from repro.service.engines import (
+    FIXPOINT_ENGINE,
+    encoded_inputs,
+    validate_engine,
+)
 
 QuerySpec = Union[Term, FixpointQuery]
 
@@ -84,16 +91,15 @@ def database_digest(database: Database) -> str:
 
 @dataclass(frozen=True)
 class DatabaseEntry:
-    """A registered database: the value plus its one-time encoding."""
+    """A registered database: the value plus its registration-time facts."""
 
     name: str
     database: Database
-    encoded: Tuple[Term, ...]
     version: int
     digest: str
     #: Size statistics the static cost polynomials range over; computed at
     #: registration so per-request fuel derivation is O(1).
-    stats: Optional[DatabaseStats] = None
+    stats: DatabaseStats
     #: Per-relation version vector, ``((relation_name, version), ...)`` in
     #: schema order.  An update bumps only the relations it touched, so a
     #: cache key built from a plan's read-set sub-vector survives updates
@@ -103,6 +109,13 @@ class DatabaseEntry:
     @property
     def schema(self) -> Dict[str, int]:
         return {name: rel.arity for name, rel in self.database}
+
+    @cached_property
+    def encoded(self) -> Tuple[Term, ...]:
+        """The Definition 3.1 encodings, in schema order, built on first
+        read (each relation's term is shared with every other entry that
+        holds the same relation)."""
+        return encoded_inputs(self.database)
 
     def relation_version(self, name: str) -> int:
         for candidate, version in self.versions:
@@ -241,52 +254,36 @@ class Catalog:
     def register_database(
         self, name: str, database: Database
     ) -> DatabaseEntry:
-        """Register (or replace) ``name``, encoding every relation once.
+        """Register (or replace) ``name``.
 
         Returns the new entry; replacing bumps the global version so
         cached results for the old contents can never be served.  The
         per-relation version vector is diffed against the previous
         contents: a relation that is structurally unchanged keeps its
-        version (and its encoded term), so read-set-keyed cache entries
-        that never scan the touched relations stay valid.
+        version, so read-set-keyed cache entries that never scan the
+        touched relations stay valid.
         """
         with self._lock:
             previous = self._databases.get(name)
             version = previous.version + 1 if previous else 1
-            prev_relations: Dict[str, Relation] = {}
-            prev_encoded: Dict[str, Term] = {}
-            prev_versions: Dict[str, int] = {}
-            if previous is not None:
-                prev_relations = dict(previous.database.relations)
-                prev_encoded = {
-                    rel_name: term
-                    for (rel_name, _), term in zip(
-                        previous.database, previous.encoded
-                    )
-                }
-                prev_versions = dict(previous.versions)
-            encoded: List[Term] = []
-            versions: List[Tuple[str, int]] = []
-            for rel_name, relation in database:
-                if (
-                    rel_name in prev_relations
-                    and prev_relations[rel_name] == relation
-                ):
-                    encoded.append(prev_encoded[rel_name])
-                    versions.append(
-                        (rel_name, prev_versions.get(rel_name, version))
-                    )
-                else:
-                    encoded.append(encode_relation(relation))
-                    versions.append((rel_name, version))
+            old_relations = dict(previous.database) if previous else {}
+            old_versions = dict(previous.versions) if previous else {}
+            versions = tuple(
+                (
+                    rel_name,
+                    old_versions.get(rel_name, version)
+                    if old_relations.get(rel_name) == relation
+                    else version,
+                )
+                for rel_name, relation in database
+            )
             entry = DatabaseEntry(
                 name=name,
                 database=database,
-                encoded=tuple(encoded),
                 version=version,
                 digest=database_digest(database),
                 stats=DatabaseStats.of(database),
-                versions=tuple(versions),
+                versions=versions,
             )
             self._databases[name] = entry
             return entry

@@ -16,11 +16,12 @@ One request = one (query plan, database) pair plus budgets.  The runtime
 
 Batches fan out on a ``ThreadPoolExecutor``.  Evaluation is pure Python,
 so threads mostly interleave rather than truly parallelize — the serving
-win comes from sharing the catalog's one-time encodings and the result
-cache across requests, which is exactly what the acceptance benchmark
-measures.  Per-request wall-clock timeouts are enforced at the waiting
-side (the worker finishes its bounded budget in the background; a
-completed result still lands in the cache for later requests).
+win comes from sharing the catalog's registration-time work, the
+memoized encodings and the result cache across requests, which is
+exactly what the acceptance benchmark measures.  Per-request wall-clock
+timeouts are enforced at the waiting side (the worker finishes its
+bounded budget in the background; a completed result still lands in the
+cache for later requests).
 
 **Observability.**  Every request is traced through the lifecycle spans
 ``query`` → ``resolve`` / ``cache.wait`` / ``cache.lookup`` / ``fuel`` /
@@ -78,8 +79,7 @@ from repro.compile import (
     CompileFallback,
     run_fixpoint_query_compiled,
 )
-from repro.db.decode import decode_relation
-from repro.db.encode import encode_database
+from repro.db.decode import DecodedRelation, decode_relation
 from repro.db.relations import Database, Relation
 from repro.errors import (
     EvaluationError,
@@ -112,7 +112,9 @@ from repro.service.engines import (
     DEFAULT_MAX_DEPTH,
     FIXPOINT_ENGINE,
     RA_ENGINE,
+    EngineResult,
     evaluate_term_query,
+    relation_term,
     validate_engine,
 )
 
@@ -193,6 +195,10 @@ class QueryResponse:
     the result (cache hits replay the computing request's profile): the
     beta/delta/let/quote step breakdown, the readback depth watermark,
     the certifier's ``static_bound``, and the observed/bound ratio.
+
+    ``reduced_form`` is the normal form a reduction engine reached;
+    set-engine results (``"ra"``, sharded merges) carry none, and
+    :attr:`normal_form` rebuilds their term only when it is read.
     """
 
     status: str
@@ -201,7 +207,7 @@ class QueryResponse:
     database_version: int
     engine: str
     relation: Optional[Relation] = None
-    normal_form: Optional[Term] = None
+    reduced_form: Optional[Term] = None
     steps: Optional[int] = None
     stages: Optional[int] = None
     fuel_budget: Optional[int] = None
@@ -218,6 +224,15 @@ class QueryResponse:
     @property
     def ok(self) -> bool:
         return self.status == STATUS_OK
+
+    @property
+    def normal_form(self) -> Optional[Term]:
+        """The answer as a term (Definition 3.10): the reduced normal form,
+        or the Definition 3.1 encoding of :attr:`relation`, built on first
+        read and memoized on the relation."""
+        if self.reduced_form is not None or self.relation is None:
+            return self.reduced_form
+        return relation_term(self.relation)
 
     def as_dict(self, *, include_tuples: bool = True) -> dict:
         out = {
@@ -611,12 +626,12 @@ class QueryService:
         if isinstance(database, Database):
             # Inline databases are keyed by content: identical contents hit
             # the same cache entries without being registered.
+            content = database_digest(database)
             return DatabaseEntry(
-                name="@inline:" + database_digest(database)[:16],
+                name="@inline:" + content[:16],
                 database=database,
-                encoded=tuple(encode_database(database)),
                 version=0,
-                digest=database_digest(database),
+                digest=content,
                 stats=DatabaseStats.of(database),
             )
         raise ReproError(
@@ -792,7 +807,7 @@ class QueryService:
             # What actually ran ("ra" may have degraded to "nbe").
             engine=computed.engine,
             relation=computed.relation,
-            normal_form=computed.normal_form,
+            reduced_form=computed.normal_form,
             steps=computed.steps,
             stages=computed.stages,
             fuel_budget=computed.fuel_budget,
@@ -901,14 +916,16 @@ class QueryService:
                 )
             with tracer.span("evaluate", engine=resolved.engine) as span:
                 try:
-                    result, ran_engine = self._evaluate_term(
-                        request, resolved, db_entry, fuel, collector, span
+                    result = self._evaluate_term(
+                        request, resolved, db_entry, arity, fuel,
+                        collector, span,
                     )
                 finally:
                     self._annotate_evaluation(span, collector)
             with tracer.span("decode"):
-                decoded = decode_relation(result.normal_form, arity)
-            normal_form = result.normal_form
+                decoded = _decoded(result, arity)
+            ran_engine = result.engine
+            normal_form = result.reduced_form
             steps = result.steps
             stages = None
         compute_ms = (time.perf_counter() - compute_start) * 1000.0
@@ -930,10 +947,11 @@ class QueryService:
         request: QueryRequest,
         resolved: _ResolvedQuery,
         db_entry: DatabaseEntry,
+        arity: Optional[int],
         fuel: int,
         collector: ProfileCollector,
         span,
-    ):
+    ) -> EngineResult:
         """One in-process term evaluation, with the ``"ra"`` runtime
         fallback: a plan that cannot compile (or lacks the certified
         output arity) degrades to NBE — same relation, reduction
@@ -944,18 +962,17 @@ class QueryService:
             try:
                 result = evaluate_term_query(
                     resolved.term,
-                    db_entry.encoded,
+                    db_entry.database,
                     engine=engine,
                     fuel=fuel,
                     max_depth=request.max_depth,
                     observer=collector,
-                    database=db_entry.database,
-                    output_arity=resolved.output_arity,
+                    output_arity=arity,
                 )
                 self._compile_metrics["compile_requests"].inc(
                     path="compiled"
                 )
-                return result, engine
+                return result
             except (CompileFallback, EvaluationError, SchemaError) as exc:
                 self._compile_metrics["compile_runtime_fallbacks"].inc()
                 self._compile_metrics["compile_requests"].inc(
@@ -963,15 +980,14 @@ class QueryService:
                 )
                 span.set_attr("compile_fallback", str(exc))
                 engine = "nbe"
-        result = evaluate_term_query(
+        return evaluate_term_query(
             resolved.term,
-            db_entry.encoded,
+            db_entry.database,
             engine=engine,
             fuel=fuel,
             max_depth=request.max_depth,
             observer=collector,
         )
-        return result, engine
 
     # -- sharded evaluation --------------------------------------------------
 
@@ -1157,7 +1173,7 @@ class QueryService:
                 scanned_names=scanned,
             )
         with self.tracer.span("decode"):
-            decoded = decode_relation(outcome.normal_form, arity)
+            decoded = DecodedRelation.of(outcome.relation)
         fuels = [
             row["fuel"]
             for row in outcome.shard_rows
@@ -1167,7 +1183,7 @@ class QueryService:
         return CachedResult(
             relation=decoded.relation,
             decoded=decoded,
-            normal_form=outcome.normal_form,
+            normal_form=None,
             engine=resolved.engine,
             steps=outcome.steps,
             stages=outcome.stages,
@@ -1196,11 +1212,8 @@ class QueryService:
         bound: Optional[int] = None
         tightening: Optional[float] = None
         if resolved.cost is not None:
-            stats = db_entry.stats
-            if stats is None:
-                stats = DatabaseStats.of(db_entry.database)
-            bound = resolved.cost.bound(stats)
-            tightening = self._note_tightening(resolved, stats)
+            bound = resolved.cost.bound(db_entry.stats)
+            tightening = self._note_tightening(resolved, db_entry.stats)
         ratios = [
             row["bound_ratio"]
             for row in outcome.shard_rows
@@ -1314,8 +1327,6 @@ class QueryService:
         }
         if db_entry is not None and resolved.cost is not None:
             stats = db_entry.stats
-            if stats is None:
-                stats = DatabaseStats.of(db_entry.database)
             static["static_bound"] = resolved.cost.bound(stats)
             if (
                 resolved.base_cost is not None
@@ -1418,11 +1429,8 @@ class QueryService:
         bound: Optional[int] = None
         tightening: Optional[float] = None
         if resolved.cost is not None:
-            stats = db_entry.stats
-            if stats is None:
-                stats = DatabaseStats.of(db_entry.database)
-            bound = resolved.cost.bound(stats)
-            tightening = self._note_tightening(resolved, stats)
+            bound = resolved.cost.bound(db_entry.stats)
+            tightening = self._note_tightening(resolved, db_entry.stats)
         ratio = bound_ratio(steps, bound)
         profile["static_bound"] = bound
         profile["bound_ratio"] = (
@@ -1463,10 +1471,7 @@ class QueryService:
         the database's size statistics; otherwise the flat default."""
         if request.fuel is not None:
             return request.fuel
-        stats = db_entry.stats
-        if stats is None:
-            stats = DatabaseStats.of(db_entry.database)
-        return fuel_budget(resolved.cost, stats, default=DEFAULT_FUEL)
+        return fuel_budget(resolved.cost, db_entry.stats, default=DEFAULT_FUEL)
 
     def _from_cache(
         self,
@@ -1489,7 +1494,7 @@ class QueryService:
             database_version=db_entry.version,
             engine=cached.engine,
             relation=cached.relation,
-            normal_form=cached.normal_form,
+            reduced_form=cached.normal_form,
             steps=cached.steps,
             stages=cached.stages,
             fuel_budget=cached.fuel_budget,
@@ -1511,10 +1516,14 @@ class QueryService:
         """
         previous = self.catalog.get_database(name).database
         entry = self.catalog.update_database(name, database)
-        touched = set(previous.names) ^ set(database.names)
-        for rel_name in set(previous.names) & set(database.names):
-            if previous[rel_name] != database[rel_name]:
-                touched.add(rel_name)
+        # The catalog already diffed every relation: the changed and the
+        # added ones sit at the new global version.
+        touched = {
+            rel_name
+            for rel_name, version in entry.versions
+            if version == entry.version
+        }
+        touched.update(set(previous.names) - set(database.names))
         self.cache.invalidate_relations(name, touched)
         return entry
 
@@ -1647,22 +1656,25 @@ def run_once(
     engine: str = "nbe",
     fuel: int = DEFAULT_FUEL,
     max_depth: int = DEFAULT_MAX_DEPTH,
-):
-    """The uncached one-shot path: encode, apply, normalize, decode.
+) -> Tuple[DecodedRelation, EngineResult]:
+    """The uncached one-shot path: (encode,) apply, normalize, decode.
 
     This is what :func:`repro.eval.driver.run_query` wraps; the engine name
-    is validated *before* the database is encoded.
+    is validated *before* any reduction engine encodes the database.
     """
-    validate_engine(engine)
-    encoded = encode_database(database)
     result = evaluate_term_query(
         query,
-        encoded,
+        database,
         engine=engine,
         fuel=fuel,
         max_depth=max_depth,
-        database=database,
         output_arity=arity,
     )
-    decoded = decode_relation(result.normal_form, arity)
-    return decoded, result
+    return _decoded(result, arity), result
+
+
+def _decoded(result: EngineResult, arity: Optional[int]) -> DecodedRelation:
+    """The relation an engine handed back.  Only a reduction engine's
+    normal form is decoded (Lemma 3.2); ``"ra"`` hands its relation
+    over as computed."""
+    return result.decoded or decode_relation(result.normal_form, arity)

@@ -3,9 +3,9 @@
 This is the piece the service runtime calls when a request carries a
 :class:`~repro.shard.policy.ShardPolicy`.  It owns no state — the pool,
 tracer and metrics belong to the service — and returns a
-:class:`ShardOutcome` whose relation/normal form are in canonical order
-(the merge combiner's order), with a per-shard profile carrying each
-shard's observed steps against its own Theorem 5.1 bound.
+:class:`ShardOutcome` whose relation is in canonical order (the merge
+combiner's order), with a per-shard profile carrying each shard's
+observed steps against its own Theorem 5.1 bound.
 
 Two drivers:
 
@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.cost import CostProfile, DatabaseStats
-from repro.db.encode import encode_relation
 from repro.db.relations import Database, Relation
 from repro.errors import FuelExhausted, ReproError
 from repro.lam.terms import Term
@@ -42,7 +41,6 @@ class ShardOutcome:
     """The merged result of one sharded evaluation."""
 
     relation: Relation
-    normal_form: Term
     steps: int
     stages: Optional[int]
     partitioned: Tuple[str, ...]
@@ -287,10 +285,8 @@ def execute_sharded_term(
     with tracer.span("shard.merge", parts=len(parts)) as span:
         merged = merge_relations(parts, arity=arity)
         span.set_attr("tuples", len(merged))
-        normal_form = encode_relation(merged)
     return ShardOutcome(
         relation=merged,
-        normal_form=normal_form,
         steps=total_steps,
         stages=None,
         partitioned=partitioned,
@@ -424,10 +420,8 @@ def execute_sharded_fixpoint(
         )
     with tracer.span("shard.merge", parts=policy.shards) as span:
         span.set_attr("tuples", len(stage))
-        normal_form = encode_relation(stage)
     return ShardOutcome(
         relation=stage,
-        normal_form=normal_form,
         steps=total_steps,
         stages=stages_run,
         partitioned=partitioned,

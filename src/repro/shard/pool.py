@@ -1,10 +1,14 @@
 """The persistent ``multiprocessing`` worker pool for shard tasks.
 
 One worker = one long-lived process holding a *warm snapshot cache*: shard
-databases (and their Definition 3.1 encodings) are shipped once, keyed by
-digest, and later tasks reference them by digest only — the expensive
-``encode_database`` runs once per (worker, shard) pair, mirroring what the
-catalog does in-process.
+databases are shipped once, keyed by digest, and later tasks reference
+them by digest only.  The cache keeps the :data:`SNAPSHOT_CACHE_SIZE`
+most recently used snapshots (every update ships new digests, so an
+unbounded cache would grow with the update stream); the coordinator
+mirrors each worker's cache and re-ships a snapshot the worker has
+evicted.  Snapshots are plain relations: a worker encodes a relation
+(Definition 3.1) only when a task reduces over it — a reduction engine,
+or ``"ra"``'s per-shard NBE fallback — and then once per snapshot.
 
 Reliability model:
 
@@ -44,9 +48,9 @@ import multiprocessing
 import os
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Callable, Dict, List, Optional
 
-from repro.db.encode import encode_database
 from repro.db.relations import Database, Relation
 from repro.errors import EvaluationError, FuelExhausted, ReproError
 from repro.obs.tracing import NOOP_SPAN, SpanRecorder
@@ -58,6 +62,9 @@ EVENT_CRASH = "crash"
 EVENT_TIMEOUT = "timeout"
 EVENT_DEGRADED = "degraded"
 EVENT_RESPAWN = "respawn"
+
+#: Snapshots each worker keeps warm, least recently used evicted first.
+SNAPSHOT_CACHE_SIZE = 16
 
 
 class WorkerCrash(ReproError):
@@ -112,26 +119,29 @@ def _attach_spans(reply: dict, recorder) -> dict:
     return reply
 
 
-def _resolve_database(
-    task: dict, cache: Dict[str, Tuple[Database, tuple]]
-) -> Tuple[Database, tuple]:
+def _remember(lru: "OrderedDict", key: str, value: object) -> None:
+    """Make ``key`` the most recent entry, evicting beyond the bound."""
+    lru[key] = value
+    lru.move_to_end(key)
+    while len(lru) > SNAPSHOT_CACHE_SIZE:
+        lru.popitem(last=False)
+
+
+def _resolve_database(task: dict, cache: "OrderedDict") -> Database:
     digest = task.get("db_digest")
     database = task.get("database")
-    if database is not None:
-        entry = (database, tuple(encode_database(database)))
-        if digest is not None:
-            cache[digest] = entry
-        return entry
-    if digest is not None and digest in cache:
-        return cache[digest]
-    raise ReproError(
-        f"task references unknown database snapshot {digest!r}"
-    )
+    if database is None:
+        database = cache.get(digest)
+        if database is None:
+            raise ReproError(
+                f"task references unknown database snapshot {digest!r}"
+            )
+    if digest is not None:
+        _remember(cache, digest, database)
+    return database
 
 
-def execute_task(
-    task: dict, cache: Optional[Dict[str, Tuple[Database, tuple]]] = None
-) -> dict:
+def execute_task(task: dict, cache: Optional["OrderedDict"] = None) -> dict:
     """Execute one shard task; never raises — errors become replies.
 
     Kinds: ``ping`` (health check), ``db`` (preload a snapshot), ``term``
@@ -139,7 +149,7 @@ def execute_task(
     optionally with the broadcast fixpoint stage bound to ``fix_name``).
     """
     if cache is None:
-        cache = {}
+        cache = OrderedDict()
     kind = task.get("kind")
     recorder = (
         _task_recorder(task) if kind in ("term", "ra") else _NOOP_RECORDER
@@ -168,7 +178,7 @@ def execute_task(
                         and task.get("db_digest") in cache
                     ),
                 ):
-                    database, encoded = _resolve_database(task, cache)
+                    database = _resolve_database(task, cache)
                 collector = ProfileCollector()
                 engine = task.get("engine", "nbe")
                 with recorder.span(
@@ -177,12 +187,11 @@ def execute_task(
                     try:
                         result = evaluate_term_query(
                             task["term"],
-                            encoded,
+                            database,
                             engine=engine,
                             fuel=task.get("fuel"),
                             max_depth=task.get("max_depth", 600_000),
                             observer=collector,
-                            database=database,
                             output_arity=task.get("arity"),
                         )
                     except (CompileFallback, EvaluationError):
@@ -193,21 +202,22 @@ def execute_task(
                         span.set_attr("compile_fallback", True)
                         result = evaluate_term_query(
                             task["term"],
-                            encoded,
+                            database,
                             engine="nbe",
                             fuel=task.get("fuel"),
                             max_depth=task.get("max_depth", 600_000),
                             observer=collector,
                         )
                     span.set_attr("steps", result.steps)
-                decoded = decode_relation(
-                    result.normal_form, task.get("arity")
-                )
+                relation = (
+                    result.decoded
+                    or decode_relation(result.normal_form, task.get("arity"))
+                ).relation
             return _attach_spans(
                 {
                     "ok": True,
-                    "tuples": decoded.relation.tuples,
-                    "arity": decoded.relation.arity,
+                    "tuples": relation.tuples,
+                    "arity": relation.arity,
                     "steps": result.steps,
                     "profile": collector.profile.as_dict(),
                 },
@@ -227,7 +237,7 @@ def execute_task(
                         and task.get("db_digest") in cache
                     ),
                 ):
-                    database, _ = _resolve_database(task, cache)
+                    database = _resolve_database(task, cache)
                 fix_tuples = task.get("fix_tuples")
                 if fix_tuples is not None:
                     database = database.with_relation(
@@ -277,7 +287,7 @@ def execute_task(
 
 def _worker_main(conn) -> None:
     """The worker process loop: recv task, execute, send reply."""
-    cache: Dict[str, Tuple[Database, tuple]] = {}
+    cache: "OrderedDict[str, Database]" = OrderedDict()
     while True:
         try:
             task = conn.recv()
@@ -304,7 +314,9 @@ class _Worker:
         self.index = index
         self.process = process
         self.conn = conn
-        self.seen: set = set()
+        # Mirrors the worker's snapshot cache: the same digests, touched
+        # in the same order (one pipe, one task at a time), same bound.
+        self.seen: "OrderedDict[str, None]" = OrderedDict()
         self.respawns = 0
 
 
@@ -538,7 +550,7 @@ class ShardWorkerPool:
                     crashed = True
                 else:
                     if digest is not None:
-                        worker.seen.add(digest)
+                        _remember(worker.seen, digest, None)
             if crashed:
                 retries += 1
                 if retries <= self.max_retries:

@@ -21,6 +21,8 @@ from repro.service import (
     ResultCache,
 )
 from repro.service.cache import CachedResult
+from repro.service.engines import relation_term
+from repro.shard.pool import execute_task
 
 
 SWAP = r"\R1. \R2. \c. \n. R1 (\x y T. c y x T) n"
@@ -661,3 +663,97 @@ class TestServiceClose:
             "closed" in r.error for r in results if r.status == "error"
         )
         assert service.closed
+
+
+@pytest.fixture
+def encodings(monkeypatch):
+    """Every Definition 3.1 encoding built while the test runs, counted
+    wherever a module of the program looks ``encode_relation`` up."""
+    import sys
+
+    from repro.db import encode
+
+    original = encode.encode_relation
+    built = []
+
+    def counting(relation, **kwargs):
+        built.append(relation)
+        return original(relation, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (
+            name.partition(".")[0] == "repro"
+            and getattr(module, "encode_relation", None) is original
+        ):
+            monkeypatch.setattr(module, "encode_relation", counting)
+    return built
+
+
+class TestEncodingBoundary:
+    """Encodings are the reduction engines' input format (Definition
+    3.10): a set-engine answer never builds one, and a reduction engine
+    encodes each relation once."""
+
+    def test_set_engine_paths_build_no_encoding(self, encodings, db):
+        service = QueryService()
+        service.catalog.register_database("main", db)
+        service.catalog.register_query("swap", parse(SWAP), signature=SIG22)
+        service.catalog.register_query(
+            "tc", transitive_closure_query("R1"), engine="ra"
+        )
+        swap = QueryRequest(query="swap", database="main")
+        try:
+            miss = service.execute(swap)
+            hit = service.execute(swap)
+            service.apply_update(
+                "main", {"R1": Relation.from_tuples(2, [("o1", "o2")])}
+            )
+            fixpoint = service.execute(
+                QueryRequest(query="tc", database="main")
+            )
+            sharded = service.execute(
+                QueryRequest(query="swap", database="main", shards=2)
+            )
+        finally:
+            service.close()
+        assert [r.engine for r in (miss, hit, fixpoint, sharded)] == ["ra"] * 4
+        assert hit.cache_hit and sharded.profile["shard"]["rows"]
+        # The worker's side of the sharded read, run in-process.
+        reply = execute_task(
+            {"kind": "term", "db_digest": "d", "database": db,
+             "term": parse(SWAP), "engine": "ra", "arity": 2}
+        )
+        assert reply["ok"]
+        assert encodings == []
+        # Reading a set-engine answer's term builds it then, once.
+        assert miss.normal_form is hit.normal_form
+        assert encodings == [miss.relation]
+
+    def test_encoding_memo_stays_out_of_pickles(self, db):
+        import pickle
+
+        relation = db["R1"]
+        shipped = pickle.dumps(relation)
+        term = relation_term(relation)
+        assert relation_term(relation) is term
+        # A shard snapshot pickles the same bytes with or without it.
+        assert pickle.dumps(relation) == shipped
+
+    def test_reduction_engines_encode_each_relation_once(self, encodings, db):
+        service = QueryService()
+        service.catalog.register_database("main", db)
+        service.catalog.register_query("swap", parse(SWAP), signature=SIG22)
+        service.catalog.register_query("diag", parse(DIAG), signature=SIG22)
+        for name in ("swap", "diag"):
+            response = service.execute(
+                QueryRequest(query=name, database="main", engine="nbe")
+            )
+            assert response.ok and not response.cache_hit
+        assert encodings == [relation for _, relation in db]
+        changed = Relation.from_tuples(2, [("o1", "o2")])
+        service.apply_update("main", {"R1": changed})
+        response = service.execute(
+            QueryRequest(query="swap", database="main", engine="nbe")
+        )
+        assert response.ok and not response.cache_hit
+        assert encodings[len(db):] == [changed]

@@ -1,6 +1,8 @@
 """Tests for the sharded execution engine (partition, planner, pool,
 service integration)."""
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.db.decode import decode_relation
@@ -36,7 +38,11 @@ from repro.shard.planner import (
     plan_term_distribution,
 )
 from repro.shard.policy import ShardPolicy as PolicyClass
-from repro.shard.pool import ShardWorkerPool, execute_task
+from repro.shard.pool import (
+    SNAPSHOT_CACHE_SIZE,
+    ShardWorkerPool,
+    execute_task,
+)
 
 
 SIG1 = QueryArity((2,), 2)
@@ -308,6 +314,97 @@ class TestWorkerPool:
         reply = execute_task({"kind": "nonsense"})
         assert reply["ok"] is False
         assert "unknown task kind" in reply["error"]
+
+    def test_ra_task_without_arity_falls_back_to_nbe(self):
+        """Per-shard "ra" needs the certified output arity; without it the
+        worker degrades to NBE and must answer exactly as NBE does."""
+        task = {
+            "kind": "term",
+            "database": random_database([2], [6], seed=4),
+            "term": parse(PARTITIONABLE_OPS["sym"]),
+            "trace": {"trace_id": "t", "parent_id": None, "shard": 0},
+        }
+        ra = execute_task({**task, "engine": "ra"})
+        nbe = execute_task({**task, "engine": "nbe"})
+        assert ra["ok"] and nbe["ok"]
+        assert (ra["arity"], ra["tuples"]) == (nbe["arity"], nbe["tuples"])
+        evaluate = next(
+            s for s in ra["spans"] if s["name"] == "worker.evaluate"
+        )
+        assert evaluate["attrs"]["compile_fallback"] is True
+
+    def test_snapshot_cache_is_bounded_and_reships_evicted(self):
+        """Every update ships new digests, so a worker keeps only the most
+        recent snapshots; the coordinator mirrors the bound and re-ships
+        a snapshot the worker has evicted."""
+        snapshots = [
+            random_database([2], [4], seed=seed)
+            for seed in range(SNAPSHOT_CACHE_SIZE + 2)
+        ]
+        preload = [
+            {"kind": "db", "db_digest": f"d{i}", "database": db}
+            for i, db in enumerate(snapshots)
+        ]
+        cache = OrderedDict()
+        assert all(execute_task(task, cache)["ok"] for task in preload)
+        assert list(cache) == [f"d{i}" for i in range(2, len(snapshots))]
+        gone = execute_task({"kind": "db", "db_digest": "d0"}, cache)
+        assert "unknown database snapshot" in gone["error"]
+
+        term = parse(PARTITIONABLE_OPS["swap"])
+        with ShardWorkerPool(1) as pool:
+            assert all(pool.run_task(task)["ok"] for task in preload)
+            assert len(pool._workers[0].seen) == SNAPSHOT_CACHE_SIZE
+            reply = pool.run_task(
+                {"kind": "term", "db_digest": "d0",
+                 "database": snapshots[0], "term": term, "arity": 2}
+            )
+            # The worker really evicted: a digest-only task for an
+            # evicted snapshot finds nothing.
+            evicted = pool.run_task({"kind": "db", "db_digest": "d2"})
+        assert reply["ok"], reply.get("error")
+        assert reply["tuples"] == evaluate_single(term, snapshots[0]).tuples
+        assert "unknown database snapshot" in evicted["error"]
+
+    def test_concurrent_eviction_keeps_the_mirror_exact(self):
+        """Threads sharing one worker cycle through more snapshots than it
+        keeps.  The coordinator strips a shipped database only when its
+        mirror says the worker holds it, so a mirror that missed an
+        eviction would surface as an unknown-snapshot error."""
+        import sys
+        import threading
+
+        db = random_database([2], [4], seed=3)
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ShardWorkerPool(1) as pool:
+
+                def hammer(thread_id):
+                    # Each thread alone revisits a digest only after more
+                    # than the bound of others, so every revisit re-ships.
+                    for round_ in range(2 * (SNAPSHOT_CACHE_SIZE + 4)):
+                        digest = round_ % (SNAPSHOT_CACHE_SIZE + 4)
+                        reply = pool.run_task(
+                            {"kind": "db", "database": db,
+                             "db_digest": f"t{thread_id}r{digest}"}
+                        )
+                        if not reply["ok"]:
+                            errors.append(reply)
+
+                threads = [
+                    threading.Thread(target=hammer, args=(t,))
+                    for t in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
 
     def test_concurrent_tasks_never_cross_replies(self):
         """Regression: the pool is shared across concurrent requests, so
