@@ -57,15 +57,11 @@ def build_service(tuples: int, seed: int):
 
 
 def certified_fuel(service, query: str) -> int:
-    from repro.analysis.analyzer import fuel_budget
-    from repro.analysis.cost import DatabaseStats
-
-    entry = service.catalog.get_query(query)
-    db_entry = service.catalog.get_database("main")
-    stats = db_entry.stats
-    if stats is None:
-        stats = DatabaseStats.of(db_entry.database)
-    return fuel_budget(entry.effective_cost, stats, default=10_000_000)
+    """The price the edge charges for ``query`` on "main": the binding's
+    certificate at the read-set's statistics."""
+    catalog = service.catalog
+    entry = catalog.get_query(query)
+    return catalog.bind(entry, catalog.get_database("main"), entry.engine).price
 
 
 # ---------------------------------------------------------------------------

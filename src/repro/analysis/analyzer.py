@@ -10,7 +10,7 @@ it to the registered entry, and ``repro lint`` renders it.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set, Tuple, Union
+from typing import Optional, Sequence, Set, Tuple, TypeVar, Union
 
 from repro.analysis.cost import (
     CostProfile,
@@ -379,19 +379,23 @@ def _certify_cost(
         )
 
 
+_Default = TypeVar("_Default", int, None)
+
+
 def fuel_budget(
     profile: Optional[CostProfile],
     stats: Optional[DatabaseStats],
     *,
-    default: int,
+    default: _Default,
     floor: int = 10_000,
-) -> int:
+) -> Union[int, _Default]:
     """The per-request fuel the runtime should grant a plan.
 
     With a cost certificate and database statistics, the static bound
     (never below ``floor``) replaces the flat ``default``: Theorem 5.1
     guarantees honest plans finish inside it, so anything that exhausts it
-    is a runaway.  Without a certificate the flat default stands.
+    is a runaway.  Without a certificate the flat default stands
+    (``default=None`` leaves the choice of a default to the caller).
     """
     if profile is None or stats is None:
         return default

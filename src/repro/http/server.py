@@ -47,12 +47,6 @@ from typing import Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs
 
 from repro import __version__
-from repro.analysis.analyzer import fuel_budget
-from repro.analysis.provenance import (
-    check_schema_contract,
-    database_schema,
-    read_set_stats,
-)
 from repro.errors import ReproError
 from repro.http.admission import AdmissionController, AdmissionTicket
 from repro.http.auth import Authenticator
@@ -77,7 +71,7 @@ from repro.obs.tracing import (
     make_trace_id,
     parse_traceparent,
 )
-from repro.service import QueryRequest, QueryService
+from repro.service import Binding, QueryRequest, QueryService
 
 __all__ = ["QueryEdge"]
 
@@ -187,22 +181,18 @@ class QueryEdge:
         certified plan against the priciest registered database.
         Certified costs span many orders of magnitude (a term plan's
         polynomial vs a fixpoint tower's), so capacity must be relative
-        to the actual catalog, not an absolute constant."""
+        to the actual catalog, not an absolute constant.  Every
+        registered pair is priced as a request for it would be, whether
+        or not it fits the plan's schema contract."""
         catalog = self.service.catalog
-        prices = []
-        for db_entry in catalog.databases():
-            for query_entry in catalog.queries():
-                # Price each plan against its read-set's statistics
-                # (TLI023): relations the plan never scans cannot
-                # contribute to its Theorem 5.1 bound.
-                priced_stats = read_set_stats(
-                    query_entry.provenance, db_entry.database, db_entry.stats
-                )
-                prices.append(fuel_budget(
-                    query_entry.effective_cost, priced_stats,
-                    default=self.config.uncertified_fuel,
-                ))
-        peak = max(prices, default=self.config.uncertified_fuel)
+        peak = max(
+            (
+                self._fuel(catalog.bind(query, db_entry, query.engine))
+                for db_entry in catalog.databases()
+                for query in catalog.queries()
+            ),
+            default=self.config.uncertified_fuel,
+        )
         return peak * self.config.auto_capacity_requests
 
     # -- lifecycle -----------------------------------------------------------
@@ -632,10 +622,14 @@ class QueryEdge:
     def _price(self, spec: QuerySpec) -> Tuple[str, int]:
         """Resolve the spec against the catalog and price it in
         certified fuel units (explicit request fuel wins, then the
-        effective cost certificate, then the pessimistic default)."""
+        binding's price, then the pessimistic default).  The binding is
+        the one the runtime then serves the request through, so the
+        schema contract (TLI024) is checked once per plan and database
+        version, and a pair that breaks it is refused before any fuel is
+        admitted."""
         catalog = self.service.catalog
         try:
-            entry = catalog.get_query(spec.query)
+            query = catalog.get_query(spec.query)
         except ReproError as exc:
             raise ApiError(404, "unknown_query", str(exc)) from exc
         database = spec.database
@@ -652,29 +646,20 @@ class QueryEdge:
             db_entry = catalog.get_database(database)
         except ReproError as exc:
             raise ApiError(404, "unknown_database", str(exc)) from exc
-        if entry.provenance is not None:
-            mismatches, _ = check_schema_contract(
-                entry.provenance, database_schema(db_entry.database)
-            )
-            if mismatches:
-                raise ApiError(
-                    400, "bad_query",
-                    f"[TLI024] query {spec.query!r} does not fit database "
-                    f"{database!r}: " + "; ".join(mismatches),
-                )
+        # The plan's own engine: nothing priced here depends on it, and a
+        # request that keeps it is served through this very binding.
+        binding = catalog.bind(query, db_entry, query.engine)
+        if binding.contract_error is not None:
+            raise ApiError(400, "bad_query", binding.contract_error)
         if spec.fuel is not None:
             return database, max(1, spec.fuel)
-        # Admission prices against the read-set-restricted statistics
-        # (TLI023); the evaluation budget itself is set by the runtime
-        # from the full statistics, so this only tightens admission.
-        stats = read_set_stats(
-            entry.provenance, db_entry.database, db_entry.stats
-        )
-        fuel = fuel_budget(
-            entry.effective_cost, stats,
-            default=self.config.uncertified_fuel,
-        )
-        return database, fuel
+        return database, self._fuel(binding)
+
+    def _fuel(self, binding: Binding) -> int:
+        """A binding's admission price, or the pessimistic default for
+        an uncertified plan."""
+        price = binding.price
+        return price if price is not None else self.config.uncertified_fuel
 
     async def _admit(self, fuel: int) -> AdmissionTicket:
         try:

@@ -146,28 +146,41 @@ class _ProfilingCounter(_StepCounter):
 
 
 class _Thunk:
-    """A memoized delayed value (call-by-need)."""
+    """A memoized delayed value (call-by-need): the evaluation of ``term``
+    in ``env``, run at most once.
 
-    __slots__ = ("_fn", "_value", "_forced")
+    The suspended term and environment are kept as data rather than in a
+    host closure, so :func:`_eval` can continue into a thunk it demands in
+    its own loop instead of forcing it recursively.
+    """
 
-    def __init__(self, fn: Callable[[], "Value"]):
-        self._fn = fn
+    __slots__ = ("_term", "_env", "_counter", "_value", "_forced")
+
+    def __init__(self, term: Term, env: "_Env", counter: _StepCounter):
+        self._term = term
+        self._env = env
+        self._counter = counter
         self._value: Optional[Value] = None
         self._forced = False
 
     @staticmethod
     def of(value: "Value") -> "_Thunk":
-        thunk = _Thunk(lambda: value)
+        thunk = _Thunk.__new__(_Thunk)
         thunk._value = value
         thunk._forced = True
+        thunk._env = None
         return thunk
 
     def force(self) -> "Value":
         if not self._forced:
-            self._value = self._fn()
-            self._forced = True
-            self._fn = None  # drop the closure, free its captures
+            # _eval resolves this thunk when its loop ends.
+            _eval(self._term, self._env, self._counter, self)
         return self._value
+
+    def _resolve(self, value: "Value") -> None:
+        self._value = value
+        self._forced = True
+        self._env = None  # free what the suspension captured
 
 
 # Environments are persistent association structures: (name, thunk, parent).
@@ -206,6 +219,16 @@ class _Native:
 
 
 @dataclass
+class _Pick:
+    """A Church boolean applied to its first argument: applied to a second,
+    it yields ``chosen`` (true), or that second argument when ``chosen``
+    is None (false).  :func:`_eval` continues into the picked branch in
+    its own loop."""
+
+    chosen: Optional[_Thunk]
+
+
+@dataclass
 class _Neutral:
     """A stuck application: ``head`` is a free variable, a constant, or Eq;
     ``spine`` is the (already evaluated or delayed) argument list."""
@@ -214,21 +237,24 @@ class _Neutral:
     spine: Tuple[_Thunk, ...]
 
 
-Value = Union[_Closure, _Native, _Neutral]
+Value = Union[_Closure, _Native, _Pick, _Neutral]
 
 
 def _true_value() -> Value:
-    return _Native(lambda x: _Native(lambda y: x.force()))
+    return _Native(_Pick)
 
 
 def _false_value() -> Value:
-    return _Native(lambda x: _Native(lambda y: y.force()))
+    return _Native(lambda x: _Pick(None))
 
 
 def _apply(fn: Value, argument: _Thunk, counter: _StepCounter) -> Value:
     if isinstance(fn, (_Closure, _Native)):
         counter.tick_beta()
         return fn.apply(argument, counter)
+    if isinstance(fn, _Pick):
+        counter.tick_beta()
+        return (argument if fn.chosen is None else fn.chosen).force()
     if isinstance(fn, _Neutral):
         spine = fn.spine + (argument,)
         # Delta rule: Eq o_i o_j collapses once both constants are present.
@@ -250,24 +276,38 @@ def _apply(fn: Value, argument: _Thunk, counter: _StepCounter) -> Value:
     raise ReductionError(f"cannot apply value {fn!r}")
 
 
-def _eval(term: Term, env: _Env, counter: _StepCounter) -> Value:
+def _eval(
+    term: Term,
+    env: _Env,
+    counter: _StepCounter,
+    thunk: Optional[_Thunk] = None,
+) -> Value:
+    """Evaluate ``term`` in ``env``; resolve ``thunk`` (the suspension
+    being forced, if any) to the result.
+
+    Tail positions loop instead of recursing: a closure body, a ``let``
+    body, a picked boolean branch, and an unforced thunk the term demands.
+    So a chain of thunks each demanding the next — a filter whose rows
+    keep failing hands back its accumulator, row after row — costs no
+    host stack.  Every thunk continued into is resolved when the loop
+    ends; none is if evaluation raises, so a later force starts over.
+    """
+    pending = None if thunk is None else [thunk]
     while True:
         if isinstance(term, Var):
             thunk = _env_lookup(env, term.name)
             if thunk is None:
-                return _Neutral(term, ())
-            return thunk.force()
-        if isinstance(term, (Const, EqConst)):
-            return _Neutral(term, ())
-        if isinstance(term, Abs):
-            return _Closure(term.var, term.body, env)
-        if isinstance(term, App):
+                value: Value = _Neutral(term, ())
+                break
+        elif isinstance(term, (Const, EqConst)):
+            value = _Neutral(term, ())
+            break
+        elif isinstance(term, Abs):
+            value = _Closure(term.var, term.body, env)
+            break
+        elif isinstance(term, App):
             fn_value = _eval(term.fn, env, counter)
-            # Bind as default arguments: the loop reassigns term/env, and a
-            # late-binding closure would evaluate the wrong redex.
-            argument = _Thunk(
-                lambda t=term.arg, e=env: _eval(t, e, counter)
-            )
+            argument = _Thunk(term.arg, env, counter)
             if isinstance(fn_value, _Closure):
                 # Tail-call into the closure body instead of recursing: keeps
                 # Python stack depth proportional to term depth, not to the
@@ -276,20 +316,35 @@ def _eval(term: Term, env: _Env, counter: _StepCounter) -> Value:
                 env = (fn_value.var, argument, fn_value.env)
                 term = fn_value.body
                 continue
-            return _apply(fn_value, argument, counter)
-        if isinstance(term, Let):
+            if not isinstance(fn_value, _Pick):
+                value = _apply(fn_value, argument, counter)
+                break
+            counter.tick_beta()
+            thunk = argument if fn_value.chosen is None else fn_value.chosen
+        elif isinstance(term, Let):
             counter.tick_let()
-            bound = _Thunk(
-                lambda t=term.bound, e=env: _eval(t, e, counter)
-            )
-            env = (term.var, bound, env)
+            env = (term.var, _Thunk(term.bound, env, counter), env)
             term = term.body
             continue
-        raise TypeError(f"not a term: {term!r}")
+        else:
+            raise TypeError(f"not a term: {term!r}")
+        # Demand ``thunk``: its value, or continue into its suspension.
+        if thunk._forced:
+            value = thunk._value  # type: ignore[assignment]
+            break
+        if pending is None:
+            pending = [thunk]
+        else:
+            pending.append(thunk)
+        term, env = thunk._term, thunk._env
+    if pending is not None:
+        for thunk in pending:
+            thunk._resolve(value)
+    return value
 
 
 def _quote(value: Value, supply: "_FreshNames", counter: _StepCounter) -> Term:
-    if isinstance(value, (_Closure, _Native)):
+    if isinstance(value, (_Closure, _Native, _Pick)):
         name = supply.fresh()
         counter.note_depth(supply.level)
         fresh_var = _Thunk.of(_Neutral(Var(name), ()))

@@ -23,7 +23,7 @@ All operators are order <= 3, hence TLI=0 building blocks.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Dict, Sequence
 
 from repro.errors import QueryTermError
 from repro.lam.terms import Const, EqConst, Term, Var, app, lam
@@ -214,38 +214,75 @@ def compile_condition(
     Conjunction, disjunction, and negation are compiled by branch chaining
     (no Church-boolean intermediates), so the result stays within the
     shapes Lemma 5.6 allows for type-``g`` subterms.
+
+    Chaining copies both continuations below every test, so a condition
+    that tests the same equality again on one path would compile to a term
+    exponentially larger than itself.  A test already decided on the path
+    (``x_i = x_j`` and ``x_j = x_i`` are one test) is therefore not emitted
+    again: its branch is taken directly.  A condition that never repeats a
+    test compiles exactly as plain chaining does.
     """
+    return _chain_condition(
+        condition,
+        columns,
+        lambda decided: then_term,
+        lambda decided: else_term,
+        {},
+    )
+
+
+def _chain_condition(
+    condition: Condition,
+    columns: Sequence[Term],
+    then_branch: Callable[[Dict[tuple, bool]], Term],
+    else_branch: Callable[[Dict[tuple, bool]], Term],
+    decided: Dict[tuple, bool],
+) -> Term:
+    """Branch chaining in continuation style: ``then_branch`` and
+    ``else_branch`` build the continuation for the tests ``decided`` on
+    the path so far (test key -> outcome)."""
     if isinstance(condition, CondTrue):
-        return then_term
-    if isinstance(condition, ColumnEqualsColumn):
+        return then_branch(decided)
+    if isinstance(condition, (ColumnEqualsColumn, ColumnEqualsConst)):
+        if isinstance(condition, ColumnEqualsColumn):
+            pair = sorted((condition.left, condition.right))
+            key: tuple = ("columns", *pair)
+            left, right = columns[condition.left], columns[condition.right]
+        else:
+            key = ("constant", condition.column, condition.constant)
+            left, right = columns[condition.column], Const(condition.constant)
+        if key in decided:
+            return (then_branch if decided[key] else else_branch)(decided)
         return app(
             EqConst(),
-            columns[condition.left],
-            columns[condition.right],
-            then_term,
-            else_term,
-        )
-    if isinstance(condition, ColumnEqualsConst):
-        return app(
-            EqConst(),
-            columns[condition.column],
-            Const(condition.constant),
-            then_term,
-            else_term,
+            left,
+            right,
+            then_branch({**decided, key: True}),
+            else_branch({**decided, key: False}),
         )
     if isinstance(condition, CondAnd):
-        inner = compile_condition(
-            condition.right, columns, then_term, else_term
+        return _chain_condition(
+            condition.left,
+            columns,
+            lambda known: _chain_condition(
+                condition.right, columns, then_branch, else_branch, known
+            ),
+            else_branch,
+            decided,
         )
-        return compile_condition(condition.left, columns, inner, else_term)
     if isinstance(condition, CondOr):
-        inner = compile_condition(
-            condition.right, columns, then_term, else_term
+        return _chain_condition(
+            condition.left,
+            columns,
+            then_branch,
+            lambda known: _chain_condition(
+                condition.right, columns, then_branch, else_branch, known
+            ),
+            decided,
         )
-        return compile_condition(condition.left, columns, then_term, inner)
     if isinstance(condition, CondNot):
-        return compile_condition(
-            condition.inner, columns, else_term, then_term
+        return _chain_condition(
+            condition.inner, columns, else_branch, then_branch, decided
         )
     raise TypeError(f"not a condition: {condition!r}")
 

@@ -25,7 +25,7 @@ Public API::
 """
 
 from repro.service.cache import CachedResult, CacheStats, ResultCache
-from repro.service.catalog import Catalog, DatabaseEntry, QueryEntry
+from repro.service.catalog import Binding, Catalog, DatabaseEntry, QueryEntry
 from repro.service.engines import (
     ENGINES,
     EngineResult,
@@ -42,6 +42,7 @@ from repro.shard.policy import ShardPolicy
 
 __all__ = [
     "BatchResult",
+    "Binding",
     "ShardPolicy",
     "CachedResult",
     "CacheStats",

@@ -25,23 +25,41 @@ it:
   (Section 5), so the spec form is the one to register; ``engine="ra"``
   opts the spec into the set-based fixpoint runner.  An explicit
   ``engine=`` always overrides the choice.
+
+**Bindings.**  Everything a request needs that depends only on one
+(plan, database version) pair is computed by :meth:`Catalog.bind`, once:
+the TLI024 schema-contract check, the scanned read-set, the cache key's
+version component, the admission price (the certificate at the
+read-set's statistics), the evaluation fuel and static bound (the
+certificate at the full statistics), the tightening ratio, and the
+static half of EXPLAIN.  The HTTP edge and the runtime both resolve a
+request through it.  Bindings are memoized on the immutable
+:class:`DatabaseEntry`, so one dies with its database version; inline
+plans and inline databases are bound per request and never memoized.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.analysis.analyzer import analyze_fixpoint, analyze_term
+from repro.analysis.analyzer import (
+    analyze_fixpoint,
+    analyze_term,
+    fuel_budget,
+)
 from repro.analysis.cost import CostProfile, DatabaseStats
 from repro.analysis.diagnostics import AnalysisReport, Severity
 from repro.analysis.provenance import (
     ProvenanceFacts,
     check_schema_contract,
     database_schema,
+    read_set_stats,
+    scanned_relation_names,
+    version_subvector,
 )
 from repro.compile import (
     CompileDecision,
@@ -53,6 +71,7 @@ from repro.errors import EvaluationError, SchemaError
 from repro.lam.terms import Term, digest, intern_term
 from repro.queries.fixpoint import FixpointQuery, build_fixpoint_query
 from repro.queries.language import QueryArity, recognize_tli
+from repro.service.cache import VersionKey
 from repro.service.engines import (
     FIXPOINT_ENGINE,
     encoded_inputs,
@@ -105,6 +124,10 @@ class DatabaseEntry:
     #: cache key built from a plan's read-set sub-vector survives updates
     #: to relations the plan never scans.
     versions: Tuple[Tuple[str, int], ...] = ()
+    #: :meth:`Catalog.bind`'s memo, ``(plan name, engine) -> Binding``.
+    bindings: Dict[Tuple[str, str], "Binding"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def schema(self) -> Dict[str, int]:
@@ -142,16 +165,17 @@ class QueryEntry:
 
     ``kind`` is ``"term"`` or ``"fixpoint"``; ``term`` is the (interned)
     query term for term plans and the compiled Theorem 4.2 tower for
-    fixpoint plans (kept for digesting and reference cross-checks);
-    ``order`` is the derivation order found at registration when a
-    signature was checked (``i + 3`` for TLI=i, Definition 3.7);
-    ``report`` is the static analyzer's full report (absent only with
-    ``check=False``), whose cost profile seeds per-request fuel budgets.
+    fixpoint plans (kept for digesting and reference cross-checks; an
+    inline fixpoint spec has none); ``order`` is the derivation order
+    found at registration when a signature was checked (``i + 3`` for
+    TLI=i, Definition 3.7); ``report`` is the static analyzer's full
+    report (absent only with ``check=False`` and for inline plans), whose
+    cost profile seeds per-request fuel budgets.
     """
 
     name: str
     kind: str
-    term: Term
+    term: Optional[Term]
     engine: str
     digest: str
     fixpoint: Optional[FixpointQuery] = None
@@ -188,7 +212,7 @@ class QueryEntry:
         return self.report.tightened_cost or self.report.cost
 
     @property
-    def plan_term(self) -> Term:
+    def plan_term(self) -> Optional[Term]:
         """The term the engines should evaluate (simplified when the
         simplifier changed the plan)."""
         return self.simplified if self.simplified is not None else self.term
@@ -232,6 +256,141 @@ class QueryEntry:
                 [d.format() for d in report.warnings()] if report else []
             ),
         }
+
+
+@dataclass(frozen=True)
+class Binding:
+    """One plan bound to one database version (:meth:`Catalog.bind`).
+
+    Every fact here depends only on the (plan entry, database entry)
+    pair, plus ``engine`` for EXPLAIN, and is computed at most once:
+    ``contract_error`` and ``version_key`` when the binding is made, the
+    rest on first read.  The admission ``price`` and the evaluation
+    ``fuel`` instantiate the same certificate at different statistics on
+    purpose: admission charges what the plan reads (TLI023), while an
+    engine runs under the bound for the whole database it is given.
+    """
+
+    query: QueryEntry
+    database: DatabaseEntry
+    engine: str
+    #: The TLI024 finding when the database cannot satisfy the plan's
+    #: read contract (a request for the pair is rejected), else ``None``.
+    contract_error: Optional[str]
+    #: The cache key's version component: the read-set's sub-vector of
+    #: the per-relation version vector when the plan carries a
+    #: provenance certificate, the global version otherwise.
+    version_key: VersionKey
+
+    @classmethod
+    def of(
+        cls, query: QueryEntry, database: DatabaseEntry, engine: str
+    ) -> "Binding":
+        provenance = query.provenance
+        if provenance is None:
+            return cls(query, database, engine, None, database.version)
+        mismatches, _ = check_schema_contract(
+            provenance, database_schema(database.database)
+        )
+        error = None
+        if mismatches:
+            error = (
+                f"[TLI024] query {query.name!r} does not fit database "
+                f"{database.name!r}: " + "; ".join(mismatches)
+            )
+        version_key = version_subvector(
+            provenance, database.database, database.versions,
+            database.version,
+        )
+        return cls(query, database, engine, error, version_key)
+
+    @cached_property
+    def scanned(self) -> Optional[Tuple[str, ...]]:
+        """The database relations the plan scans, or ``None`` when the
+        read-set cannot be trusted."""
+        return scanned_relation_names(
+            self.query.provenance, self.database.database
+        )
+
+    @cached_property
+    def price(self) -> Optional[int]:
+        """The admission price: the certificate at the read-set's
+        statistics (``None`` for an uncertified plan)."""
+        entry = self.database
+        stats = read_set_stats(
+            self.query.provenance, entry.database, entry.stats
+        )
+        return fuel_budget(self.query.effective_cost, stats, default=None)
+
+    @cached_property
+    def fuel(self) -> Optional[int]:
+        """The evaluation fuel: the certificate at the full statistics
+        (``None`` for an uncertified plan)."""
+        return fuel_budget(
+            self.query.effective_cost, self.database.stats, default=None
+        )
+
+    @cached_property
+    def static_bound(self) -> Optional[int]:
+        cost = self.query.effective_cost
+        return cost.bound(self.database.stats) if cost is not None else None
+
+    @cached_property
+    def base_bound(self) -> Optional[int]:
+        """The syntactic certificate's bound, when absint tightened it."""
+        query = self.query
+        if query.cost is None or query.cost == query.effective_cost:
+            return None
+        return query.cost.bound(self.database.stats)
+
+    @cached_property
+    def tightening(self) -> Optional[float]:
+        """How much sharper the tightened bound is (tightened/syntactic,
+        in (0, 1]), or ``None`` when the plan was not tightened."""
+        bound, base = self.static_bound, self.base_bound
+        if bound is None or base is None or base <= 0:
+            return None
+        return bound / base
+
+    @cached_property
+    def explain_static(self) -> Dict[str, object]:
+        """EXPLAIN's static section as far as this pair fixes it
+        (callers copy it before adding per-request parts)."""
+        query = self.query
+        cost, base = query.effective_cost, query.cost
+        static: Dict[str, object] = {
+            "query": query.name,
+            "digest": query.digest[:12],
+            "kind": query.kind,
+            "engine": self.engine,
+            "order": query.order,
+            "signature": (
+                str(query.signature) if query.signature is not None else None
+            ),
+            "cost": base.describe() if base is not None else None,
+            "tightened_cost": (
+                cost.describe()
+                if cost is not None and base is not None and cost != base
+                else None
+            ),
+            "read_set": (
+                query.provenance.describe()
+                if query.provenance is not None
+                else None
+            ),
+            "compile": (
+                query.compiled.as_dict()
+                if query.compiled is not None
+                else None
+            ),
+        }
+        if self.static_bound is not None:
+            static["static_bound"] = self.static_bound
+            if self.base_bound is not None:
+                static["base_bound"] = self.base_bound
+                if self.tightening is not None:
+                    static["tightening_ratio"] = round(self.tightening, 6)
+        return static
 
 
 class Catalog:
@@ -286,6 +445,10 @@ class Catalog:
                 versions=versions,
             )
             self._databases[name] = entry
+            if previous is not None:
+                # Its bindings point back at it: dropping them frees the
+                # replaced version as soon as no request holds it.
+                previous.bindings.clear()
             return entry
 
     def update_database(self, name: str, database: Database) -> DatabaseEntry:
@@ -551,6 +714,34 @@ class Catalog:
     def queries(self) -> List[QueryEntry]:
         with self._lock:
             return list(self._queries.values())
+
+    # -- bindings ------------------------------------------------------------
+
+    def bind(
+        self, query: QueryEntry, database: DatabaseEntry, engine: str
+    ) -> Binding:
+        """The :class:`Binding` of ``query`` to this version of
+        ``database``, where a request is resolved and priced.
+
+        The binding is memoized on the database entry when both entries
+        are the catalog's current registrations; a memoized binding is
+        reused only for the very plan entry it was made from, so a
+        re-registered plan is bound afresh.  Inline plans and databases
+        are never registered, so they are bound per request.  (The
+        unlocked reads are single dict operations; a lost race binds
+        twice, to equal bindings.)
+        """
+        key = (query.name, engine)
+        binding = database.bindings.get(key)
+        if binding is not None and binding.query is query:
+            return binding
+        binding = Binding.of(query, database, engine)
+        if (
+            self._queries.get(query.name) is query
+            and self._databases.get(database.name) is database
+        ):
+            database.bindings[key] = binding
+        return binding
 
     def summary(self) -> dict:
         with self._lock:

@@ -11,9 +11,11 @@ Term-shaped queries run on one of the :data:`ENGINES`:
   plan is lowered to a set-backed relational-algebra program and run
   directly on the database relations — no beta-reduction.  Requires the
   database itself (the plan operates on relations, not on encoded
-  terms) and the certified output arity, and only accepts plans the
-  lowering recognizes; each restriction raises so callers (the runtime)
-  can fall back to NBE.
+  terms).  A plan that cannot run there — no certified output arity, or
+  a shape the lowering does not recognize — falls back to NBE: same
+  relation, reduction semantics, and the :class:`EngineResult` names
+  ``"nbe"`` as the engine that ran and says why in ``fallback``.  The
+  service runtime and the shard workers both rely on this one fallback.
 
 **Encodings live here.**  The Definition 3.1 encodings ``r̄1 ... r̄l``
 are the input format of the three reduction engines and of nothing
@@ -40,7 +42,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 from repro.db.decode import DecodedRelation
 from repro.db.encode import encode_relation
 from repro.db.relations import Database, Relation
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, SchemaError
 from repro.lam.nbe import nbe_normalize_counted
 from repro.lam.reduce import DEFAULT_FUEL, Strategy, normalize
 from repro.lam.terms import Term, app
@@ -73,13 +75,15 @@ class EngineResult:
     contracted redexes for the small-step engines, beta/delta/let
     evaluation steps for NBE (see
     :func:`repro.lam.nbe.nbe_normalize_counted`) and executor operations
-    for ``"ra"``.
+    for ``"ra"``.  ``engine`` is the engine that ran; ``fallback`` is the
+    reason an ``"ra"`` request ran on NBE instead.
     """
 
     engine: str
     steps: Optional[int] = None
     reduced_form: Optional[Term] = None
     decoded: Optional[DecodedRelation] = None
+    fallback: Optional[str] = None
 
     @property
     def normal_form(self) -> Term:
@@ -138,29 +142,42 @@ def evaluate_term_query(
     For the reduction engines that is Definition 3.10: normalize
     ``(query r̄1 ... r̄l)``.  ``inputs`` is the database (encoded here, per
     :func:`encoded_inputs`) or the encodings themselves.  ``"ra"`` runs
-    on the relations of a :class:`Database` and needs the certified
-    ``output_arity``.
+    on the relations of a :class:`Database` with the certified
+    ``output_arity``, and falls back to NBE when it cannot (a missing
+    arity, or a :class:`~repro.compile.CompileFallback`,
+    :class:`EvaluationError` or :class:`SchemaError` from lowering or
+    running the plan).
 
     ``observer`` receives the engine's step breakdown dict (the
     :mod:`repro.obs.profiler` contract); step totals are unchanged by it.
     """
     validate_engine(engine)
+    fallback: Optional[str] = None
     if engine == RA_ENGINE:
-        if not isinstance(inputs, Database) or output_arity is None:
+        if not isinstance(inputs, Database):
             raise EvaluationError(
-                'engine "ra" needs the database relations and the '
-                "certified output arity, not only the encodings"
+                'engine "ra" needs the database relations, not only the '
+                "encodings"
             )
-        from repro.compile import compile_term_plan
+        from repro.compile import CompileFallback, compile_term_plan
 
-        plan = compile_term_plan(query, inputs.arities, output_arity)
-        run = plan.execute(inputs)
-        if observer is not None:
-            # "steps" keeps ProfileCollector totals meaningful; the
-            # dedicated key marks them as set-executor operations, not
-            # reduction steps.
-            observer({"steps": run.ops, "ra_ops": run.ops})
-        return EngineResult(engine=engine, steps=run.ops, decoded=run.decoded)
+        fallback = 'engine "ra" needs the certified output arity'
+        if output_arity is not None:
+            try:
+                plan = compile_term_plan(query, inputs.arities, output_arity)
+                run = plan.execute(inputs)
+            except (CompileFallback, EvaluationError, SchemaError) as exc:
+                fallback = str(exc)
+            else:
+                if observer is not None:
+                    # "steps" keeps ProfileCollector totals meaningful;
+                    # the dedicated key marks them as set-executor
+                    # operations, not reduction steps.
+                    observer({"steps": run.ops, "ra_ops": run.ops})
+                return EngineResult(
+                    engine=engine, steps=run.ops, decoded=run.decoded
+                )
+        engine = "nbe"
     if isinstance(inputs, Database):
         inputs = encoded_inputs(inputs)
     applied = app(query, *inputs)
@@ -169,7 +186,8 @@ def evaluate_term_query(
             applied, max_depth=max_depth, fuel=fuel, observer=observer
         )
         return EngineResult(
-            engine=engine, steps=steps, reduced_form=normal_form
+            engine=engine, steps=steps, reduced_form=normal_form,
+            fallback=fallback,
         )
     outcome = normalize(
         applied, _STRATEGIES[engine], fuel=fuel, observer=observer

@@ -3,8 +3,13 @@
 One request = one (query plan, database) pair plus budgets.  The runtime
 
 1. resolves both against the :class:`~repro.service.catalog.Catalog`
-   (inline terms/specs and inline databases are accepted for one-shot
-   use — inline databases are cached by content digest);
+   and binds them (:meth:`~repro.service.catalog.Catalog.bind`): one
+   :class:`~repro.service.catalog.Binding` per plan and database version
+   holds the schema-contract check, the read-set, the cache key's
+   version component, the fuel and the static bound, computed once and
+   shared with the HTTP edge's admission pricing (inline terms/specs and
+   inline databases are accepted for one-shot use and bound per request
+   — inline databases are cached by content digest);
 2. consults the :class:`~repro.service.cache.ResultCache` under a
    *single-flight* lock, so N concurrent identical requests cost one
    evaluation and N-1 waits;
@@ -65,28 +70,11 @@ from concurrent.futures import (
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.analyzer import fuel_budget
-from repro.analysis.cost import CostProfile, DatabaseStats
-from repro.analysis.provenance import (
-    ProvenanceFacts,
-    check_schema_contract,
-    database_schema,
-    scanned_relation_names,
-    version_subvector,
-)
-from repro.compile import (
-    CompileDecision,
-    CompileFallback,
-    run_fixpoint_query_compiled,
-)
+from repro.analysis.cost import DatabaseStats
+from repro.compile import CompileDecision, run_fixpoint_query_compiled
 from repro.db.decode import DecodedRelation, decode_relation
 from repro.db.relations import Database, Relation
-from repro.errors import (
-    EvaluationError,
-    FuelExhausted,
-    ReproError,
-    SchemaError,
-)
+from repro.errors import FuelExhausted, ReproError, SchemaError
 from repro.lam.terms import Term, digest
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import (
@@ -99,10 +87,10 @@ from repro.obs.metrics import (
 from repro.obs.profiler import ProfileCollector, bound_ratio
 from repro.obs.tracing import Tracer, get_tracer
 from repro.queries.fixpoint import FixpointQuery
-from repro.queries.language import QueryArity
 from repro.service.cache import CachedResult, CacheKey, ResultCache
 from repro.shard.policy import FALLBACK_ERROR, ShardPolicy
 from repro.service.catalog import (
+    Binding,
     Catalog,
     DatabaseEntry,
     QueryEntry,
@@ -304,35 +292,6 @@ class BatchResult:
         }
 
 
-@dataclass(frozen=True)
-class _ResolvedQuery:
-    """A query request target, normalized to one shape."""
-
-    name: str
-    digest: str
-    engine: str
-    term: Optional[Term]
-    fixpoint: Optional[FixpointQuery]
-    output_arity: Optional[int]
-    #: The effective profile (absint-tightened when adopted): drives fuel
-    #: budgets, static bounds, and per-shard fuel splits.
-    cost: Optional[CostProfile] = None
-    #: The syntactic profile, kept so the tightening ratio can be
-    #: reported when the two differ.
-    base_cost: Optional[CostProfile] = None
-    signature: Optional[QueryArity] = None
-    #: The read-set / schema-contract certificate (TLI023): keys the
-    #: result cache on the read-set's version sub-vector and gates the
-    #: admission-time contract check.
-    provenance: Optional[ProvenanceFacts] = None
-    #: The Definition 3.7 order certificate found at registration
-    #: (``i + 3`` for TLI=i); reported in explain output.
-    order: Optional[int] = None
-    #: The compiler's registration-time decision (TLI028/TLI029);
-    #: EXPLAIN's static section carries it.
-    compiled: Optional[CompileDecision] = None
-
-
 class QueryService:
     """Catalog + cache + batch executor, safe for concurrent use.
 
@@ -375,11 +334,6 @@ class QueryService:
         self._max_workers = max_workers
         self._inflight: Dict[CacheKey, Tuple[threading.Lock, int]] = {}
         self._inflight_guard = threading.Lock()
-        # Memoized static halves of EXPLAIN reports: the certificate
-        # side is constant per (plan, engine, database version), and
-        # re-describing cost polynomials per request is the dominant
-        # cost of flight recording on the cache-hit path.
-        self._explain_static_cache: Dict[Tuple, dict] = {}
         # close() latch: set exactly once, checked by the lazy executor
         # factories so a request racing a close() can never resurrect a
         # pool the close already tore down (that pool would leak).
@@ -576,43 +530,29 @@ class QueryService:
 
     # -- request resolution --------------------------------------------------
 
-    def _resolve_query(self, request: QueryRequest) -> _ResolvedQuery:
+    def _resolve_query(self, request: QueryRequest) -> QueryEntry:
+        """The registered plan, or a transient uncertified entry for an
+        inline term or fixpoint spec."""
         query = request.query
         if isinstance(query, str):
-            entry: QueryEntry = self.catalog.get_query(query)
-            engine = request.engine or entry.engine
-            return _ResolvedQuery(
-                name=entry.name,
-                digest=entry.digest,
-                engine=engine,
-                term=entry.plan_term,
-                fixpoint=entry.fixpoint,
-                output_arity=entry.output_arity,
-                cost=entry.effective_cost,
-                base_cost=entry.cost,
-                signature=entry.signature,
-                provenance=entry.provenance,
-                order=entry.order,
-                compiled=entry.compiled,
-            )
+            return self.catalog.get_query(query)
         if isinstance(query, FixpointQuery):
             spec_digest = hashlib.sha256(repr(query).encode()).hexdigest()
-            return _ResolvedQuery(
+            return QueryEntry(
                 name="<inline fixpoint>",
-                digest="fx:" + spec_digest,
-                engine=request.engine or FIXPOINT_ENGINE,
+                kind="fixpoint",
                 term=None,
+                engine=FIXPOINT_ENGINE,
+                digest="fx:" + spec_digest,
                 fixpoint=query,
-                output_arity=query.output_arity,
             )
         if isinstance(query, Term):
-            return _ResolvedQuery(
+            return QueryEntry(
                 name="<inline term>",
-                digest=digest(query),
-                engine=request.engine or "nbe",
+                kind="term",
                 term=query,
-                fixpoint=None,
-                output_arity=None,
+                engine="nbe",
+                digest=digest(query),
             )
         raise ReproError(
             f"request query must be a name, Term, or FixpointQuery, "
@@ -701,32 +641,34 @@ class QueryService:
         if request.engine is not None:
             validate_engine(request.engine, allow_fixpoint=True)
         with tracer.span("resolve") as span:
-            resolved = self._resolve_query(request)
+            query = self._resolve_query(request)
             db_entry = self._resolve_database(request)
-            span.set_attr("query", resolved.name)
+            binding = self.catalog.bind(
+                query, db_entry, request.engine or query.engine
+            )
+            span.set_attr("query", query.name)
             span.set_attr("database", db_entry.name)
-        extras["resolved"] = resolved
-        extras["db_entry"] = db_entry
-        if resolved.engine == FIXPOINT_ENGINE and resolved.fixpoint is None:
+        extras["binding"] = binding
+        if binding.engine == FIXPOINT_ENGINE and query.fixpoint is None:
             raise ReproError(
-                f"query {resolved.name!r} has no fixpoint spec; the "
+                f"query {query.name!r} has no fixpoint spec; the "
                 f"'fixpoint' engine applies to FixpointQuery plans only"
             )
-        self._check_contract(resolved, db_entry)
-        policy, shard_plan = self._shard_dispatch(request, resolved, db_entry)
+        if binding.contract_error is not None:
+            # TLI024: the database cannot satisfy the plan's read
+            # contract, so the pair is rejected before any evaluation.
+            raise SchemaError(binding.contract_error)
+        policy, shard_plan = self._shard_dispatch(request, binding)
         # Sharded results come back in canonical (merged) order, so they
         # must not share cache entries with in-process results: the shard
         # spec is folded into the cache key's engine component.
         engine_key = (
-            f"{resolved.engine}#s{policy.shards}:{policy.partitioner}"
+            f"{binding.engine}#s{policy.shards}:{policy.partitioner}"
             if policy is not None
-            else resolved.engine
+            else binding.engine
         )
         key: CacheKey = (
-            resolved.digest,
-            db_entry.name,
-            self._version_key(resolved, db_entry),
-            engine_key,
+            query.digest, db_entry.name, binding.version_key, engine_key,
         )
         extras["cache_key"] = hashlib.sha256(
             repr(key).encode()
@@ -736,7 +678,7 @@ class QueryService:
         arity = (
             request.arity
             if request.arity is not None
-            else resolved.output_arity
+            else query.output_arity
         )
 
         lock = self._acquire_key(key)
@@ -765,31 +707,39 @@ class QueryService:
                         self.cache.count_provenance_save()
                         self._metrics["provenance_saves"].inc()
                     return self._from_cache(
-                        request, resolved, db_entry, cached, arity, start
+                        request, binding, cached, arity, start
                     )
                 self._metrics["cache_misses"].inc()
+                # An explicit request budget wins; otherwise the plan's
+                # certificate at the database's statistics; otherwise the
+                # flat default.
+                fuel = request.fuel
+                if fuel is None:
+                    fuel = (
+                        binding.fuel
+                        if binding.fuel is not None
+                        else DEFAULT_FUEL
+                    )
                 collector = ProfileCollector()
                 try:
                     computed = self._evaluate(
-                        request, resolved, db_entry, arity, collector,
+                        request, binding, arity, fuel, collector,
                         policy=policy, shard_plan=shard_plan,
                     )
                 except FuelExhausted as exc:
                     return QueryResponse(
                         status=STATUS_FUEL,
-                        query=resolved.name,
+                        query=query.name,
                         database=db_entry.name,
                         database_version=db_entry.version,
-                        engine=resolved.engine,
+                        engine=binding.engine,
                         steps=exc.steps,
-                        fuel_budget=self._fuel_for(
-                            request, resolved, db_entry
-                        ),
+                        fuel_budget=fuel,
                         error=str(exc),
                         wall_ms=(time.perf_counter() - start) * 1000.0,
                         tag=request.tag,
                         profile=self._finish_profile(
-                            collector, resolved, db_entry, exc.steps
+                            collector, binding, exc.steps
                         ),
                     )
                 self.cache.put(key, computed)
@@ -801,7 +751,7 @@ class QueryService:
         wall_ms = (time.perf_counter() - start) * 1000.0
         return QueryResponse(
             status=STATUS_OK,
-            query=resolved.name,
+            query=query.name,
             database=db_entry.name,
             database_version=db_entry.version,
             # What actually ran ("ra" may have degraded to "nbe").
@@ -818,47 +768,12 @@ class QueryService:
             profile=computed.profile,
         )
 
-    @staticmethod
-    def _check_contract(
-        resolved: _ResolvedQuery, db_entry: DatabaseEntry
-    ) -> None:
-        """Admission-time schema-contract check (TLI024): reject the
-        (plan, database) pair before any evaluation when the database
-        cannot satisfy the plan's read contract — the failure that used
-        to surface as a stuck encoding at decode time."""
-        if resolved.provenance is None:
-            return
-        mismatches, _ = check_schema_contract(
-            resolved.provenance, database_schema(db_entry.database)
-        )
-        if mismatches:
-            raise SchemaError(
-                f"[TLI024] query {resolved.name!r} does not fit database "
-                f"{db_entry.name!r}: " + "; ".join(mismatches)
-            )
-
-    @staticmethod
-    def _version_key(
-        resolved: _ResolvedQuery, db_entry: DatabaseEntry
-    ):
-        """The cache key's version component: the read-set's sub-vector
-        of the per-relation version vector when the plan carries a
-        provenance certificate, the global version otherwise."""
-        if resolved.provenance is None:
-            return db_entry.version
-        return version_subvector(
-            resolved.provenance,
-            db_entry.database,
-            db_entry.versions,
-            db_entry.version,
-        )
-
     def _evaluate(
         self,
         request: QueryRequest,
-        resolved: _ResolvedQuery,
-        db_entry: DatabaseEntry,
+        binding: Binding,
         arity: Optional[int],
+        fuel: int,
         collector: ProfileCollector,
         *,
         policy: Optional[ShardPolicy] = None,
@@ -868,17 +783,19 @@ class QueryService:
         compute_start = time.perf_counter()
         if policy is not None and shard_plan is not None:
             return self._evaluate_sharded(
-                request, resolved, db_entry, arity, policy, shard_plan
+                request, binding, arity, policy, shard_plan
             )
-        ran_engine = resolved.engine
-        if resolved.engine == FIXPOINT_ENGINE:
+        query, engine = binding.query, binding.engine
+        database = binding.database.database
+        ran_engine = engine
+        if engine == FIXPOINT_ENGINE:
             from repro.eval.ptime import run_fixpoint_query
 
-            with tracer.span("evaluate", engine=resolved.engine) as span:
+            with tracer.span("evaluate", engine=engine) as span:
                 try:
                     run = run_fixpoint_query(
-                        resolved.fixpoint,
-                        db_entry.database,
+                        query.fixpoint,
+                        database,
                         max_depth=request.max_depth,
                         observer=collector,
                     )
@@ -888,16 +805,12 @@ class QueryService:
             decoded, normal_form = run.decoded, run.normal_form
             steps: Optional[int] = run.nbe_steps
             stages: Optional[int] = run.stages
-            fuel: Optional[int] = None
-        elif (
-            resolved.engine == RA_ENGINE and resolved.fixpoint is not None
-        ):
+            budget: Optional[int] = None
+        elif engine == RA_ENGINE and query.fixpoint is not None:
             # The set-based fixpoint runner: RA stages on Python sets,
             # no lambda tower anywhere.
             with tracer.span("evaluate", engine=RA_ENGINE) as span:
-                run = run_fixpoint_query_compiled(
-                    resolved.fixpoint, db_entry.database
-                )
+                run = run_fixpoint_query_compiled(query.fixpoint, database)
                 collector({"steps": run.nbe_steps})
                 self._annotate_evaluation(span, collector)
                 span.set_attr("stages", run.stages)
@@ -905,21 +818,40 @@ class QueryService:
             decoded, normal_form = run.decoded, run.normal_form
             steps = run.nbe_steps
             stages = run.stages
-            fuel = None
+            budget = None
         else:
             with tracer.span("fuel") as span:
-                fuel = self._fuel_for(request, resolved, db_entry)
                 span.set_attr("budget", fuel)
                 span.set_attr(
                     "derived",
-                    request.fuel is None and resolved.cost is not None,
+                    request.fuel is None and binding.fuel is not None,
                 )
-            with tracer.span("evaluate", engine=resolved.engine) as span:
+            with tracer.span("evaluate", engine=engine) as span:
                 try:
-                    result = self._evaluate_term(
-                        request, resolved, db_entry, arity, fuel,
-                        collector, span,
+                    # "ra" degrades to NBE inside the engine call when the
+                    # plan cannot compile (same relation, reduction
+                    # semantics); the degradation is counted, not raised.
+                    result = evaluate_term_query(
+                        query.plan_term,
+                        database,
+                        engine=engine,
+                        fuel=fuel,
+                        max_depth=request.max_depth,
+                        observer=collector,
+                        output_arity=arity,
                     )
+                    if result.fallback is not None:
+                        self._compile_metrics[
+                            "compile_runtime_fallbacks"
+                        ].inc()
+                        self._compile_metrics["compile_requests"].inc(
+                            path="fallback"
+                        )
+                        span.set_attr("compile_fallback", result.fallback)
+                    elif engine == RA_ENGINE:
+                        self._compile_metrics["compile_requests"].inc(
+                            path="compiled"
+                        )
                 finally:
                     self._annotate_evaluation(span, collector)
             with tracer.span("decode"):
@@ -928,6 +860,7 @@ class QueryService:
             normal_form = result.reduced_form
             steps = result.steps
             stages = None
+            budget = fuel
         compute_ms = (time.perf_counter() - compute_start) * 1000.0
         return CachedResult(
             relation=decoded.relation,
@@ -937,66 +870,14 @@ class QueryService:
             steps=steps,
             stages=stages,
             compute_wall_ms=compute_ms,
-            fuel_budget=fuel,
-            profile=self._finish_profile(collector, resolved, db_entry, steps),
-            database_version=db_entry.version,
-        )
-
-    def _evaluate_term(
-        self,
-        request: QueryRequest,
-        resolved: _ResolvedQuery,
-        db_entry: DatabaseEntry,
-        arity: Optional[int],
-        fuel: int,
-        collector: ProfileCollector,
-        span,
-    ) -> EngineResult:
-        """One in-process term evaluation, with the ``"ra"`` runtime
-        fallback: a plan that cannot compile (or lacks the certified
-        output arity) degrades to NBE — same relation, reduction
-        semantics — and the degradation is counted and annotated rather
-        than surfaced as an error."""
-        engine = resolved.engine
-        if engine == RA_ENGINE:
-            try:
-                result = evaluate_term_query(
-                    resolved.term,
-                    db_entry.database,
-                    engine=engine,
-                    fuel=fuel,
-                    max_depth=request.max_depth,
-                    observer=collector,
-                    output_arity=arity,
-                )
-                self._compile_metrics["compile_requests"].inc(
-                    path="compiled"
-                )
-                return result
-            except (CompileFallback, EvaluationError, SchemaError) as exc:
-                self._compile_metrics["compile_runtime_fallbacks"].inc()
-                self._compile_metrics["compile_requests"].inc(
-                    path="fallback"
-                )
-                span.set_attr("compile_fallback", str(exc))
-                engine = "nbe"
-        return evaluate_term_query(
-            resolved.term,
-            db_entry.database,
-            engine=engine,
-            fuel=fuel,
-            max_depth=request.max_depth,
-            observer=collector,
+            fuel_budget=budget,
+            profile=self._finish_profile(collector, binding, steps),
+            database_version=binding.database.version,
         )
 
     # -- sharded evaluation --------------------------------------------------
 
-    def _shard_dispatch(
-        self,
-        request: QueryRequest,
-        resolved: _ResolvedQuery,
-        db_entry: DatabaseEntry,
-    ):
+    def _shard_dispatch(self, request: QueryRequest, binding: Binding):
         """Resolve the request's shard policy against the plan's
         distribution classification.
 
@@ -1009,26 +890,24 @@ class QueryService:
             policy = ShardPolicy(shards=request.shards)
         if policy is None:
             return None, None
-        plan = self._distribution_plan(resolved, db_entry)
-        scanned = scanned_relation_names(
-            resolved.provenance, db_entry.database
-        )
-        if scanned is not None:
+        plan = self._distribution_plan(binding)
+        if binding.scanned is not None:
             from repro.shard.planner import refine_distribution
 
-            plan, _dropped = refine_distribution(plan, set(scanned))
+            plan, _dropped = refine_distribution(plan, set(binding.scanned))
         usable = False
+        database = binding.database.database
         if plan.distributable:
             try:
-                chosen = plan.choose_partition(db_entry.database)
-                usable = set(chosen) <= set(db_entry.database.names)
+                chosen = plan.choose_partition(database)
+                usable = set(chosen) <= set(database.names)
             except ReproError:
                 usable = False
         if not usable:
             self._shard_metrics["shard_requests"].inc(mode="local-only")
             if policy.fallback == FALLBACK_ERROR:
                 raise ReproError(
-                    f"[{plan.code}] query {resolved.name!r} is not "
+                    f"[{plan.code}] query {binding.query.name!r} is not "
                     f"shard-distributable: {plan.reason}"
                 )
             with self.tracer.span(
@@ -1039,11 +918,10 @@ class QueryService:
         self._shard_metrics["shard_requests"].inc(mode=plan.mode)
         return policy, plan
 
-    def _distribution_plan(
-        self, resolved: _ResolvedQuery, db_entry: DatabaseEntry
-    ):
+    def _distribution_plan(self, binding: Binding):
         """The (memoized) distribution classification of one plan against
-        one database schema."""
+        one database schema (kept per schema, not per binding: updates
+        replace the database entry but rarely its schema)."""
         from repro.shard.planner import (
             DistributionPlan,
             MODE_LOCAL,
@@ -1051,26 +929,27 @@ class QueryService:
             plan_distribution,
         )
 
-        names = tuple(db_entry.database.names)
-        key = (resolved.digest, names)
+        query = binding.query
+        names = tuple(binding.database.database.names)
+        key = (query.digest, names)
         with self._plan_cache_lock:
             plan = self._plan_cache.get(key)
             if plan is not None:
                 self._plan_cache.move_to_end(key)
                 return plan
         try:
-            if resolved.fixpoint is not None:
-                plan = plan_distribution(resolved.fixpoint)
+            if query.fixpoint is not None:
+                plan = plan_distribution(query.fixpoint)
             else:
                 plan = plan_distribution(
-                    resolved.term,
-                    signature=resolved.signature,
+                    query.plan_term,
+                    signature=query.signature,
                     input_names=names,
                 )
         except ReproError as exc:
             plan = DistributionPlan(
                 mode=MODE_LOCAL,
-                kind="term" if resolved.term is not None else "fixpoint",
+                kind=query.kind,
                 partition_names=(),
                 broadcast_names=names,
                 code=CODE_LOCAL_ONLY,
@@ -1125,8 +1004,7 @@ class QueryService:
     def _evaluate_sharded(
         self,
         request: QueryRequest,
-        resolved: _ResolvedQuery,
-        db_entry: DatabaseEntry,
+        binding: Binding,
         arity: Optional[int],
         policy: ShardPolicy,
         shard_plan,
@@ -1138,21 +1016,19 @@ class QueryService:
 
         compute_start = time.perf_counter()
         pool = self._shard_pool_for(policy)
-        scanned = scanned_relation_names(
-            resolved.provenance, db_entry.database
-        )
-        if resolved.fixpoint is not None and (
-            resolved.engine in (FIXPOINT_ENGINE, RA_ENGINE)
+        query, db_entry = binding.query, binding.database
+        if query.fixpoint is not None and (
+            binding.engine in (FIXPOINT_ENGINE, RA_ENGINE)
         ):
             outcome = execute_sharded_fixpoint(
                 pool=pool,
                 tracer=self.tracer,
                 policy=policy,
                 plan=shard_plan,
-                fixpoint=resolved.fixpoint,
+                fixpoint=query.fixpoint,
                 database=db_entry.database,
                 db_digest=db_entry.digest,
-                cost=resolved.cost,
+                cost=query.effective_cost,
                 max_depth=request.max_depth,
             )
         else:
@@ -1161,16 +1037,16 @@ class QueryService:
                 tracer=self.tracer,
                 policy=policy,
                 plan=shard_plan,
-                term=resolved.term,
-                engine=resolved.engine,
+                term=query.plan_term,
+                engine=binding.engine,
                 database=db_entry.database,
                 db_digest=db_entry.digest,
                 arity=arity,
-                cost=resolved.cost,
+                cost=query.effective_cost,
                 fuel_override=request.fuel,
                 default_fuel=DEFAULT_FUEL,
                 max_depth=request.max_depth,
-                scanned_names=scanned,
+                provenance=query.provenance,
             )
         with self.tracer.span("decode"):
             decoded = DecodedRelation.of(outcome.relation)
@@ -1179,56 +1055,35 @@ class QueryService:
             for row in outcome.shard_rows
             if row.get("fuel") is not None
         ]
-        compute_ms = (time.perf_counter() - compute_start) * 1000.0
-        return CachedResult(
-            relation=decoded.relation,
-            decoded=decoded,
-            normal_form=None,
-            engine=resolved.engine,
-            steps=outcome.steps,
-            stages=outcome.stages,
-            compute_wall_ms=compute_ms,
-            fuel_budget=max(fuels) if fuels else None,
-            profile=self._shard_profile(
-                outcome, resolved, db_entry, policy, shard_plan
-            ),
-            database_version=db_entry.version,
-        )
-
-    def _shard_profile(
-        self,
-        outcome,
-        resolved: _ResolvedQuery,
-        db_entry: DatabaseEntry,
-        policy: ShardPolicy,
-        shard_plan,
-    ) -> dict:
-        """The response profile of a sharded run: the full-database static
-        bound plus the per-shard rows.  The gauge (and headline ratio) is
-        the *worst per-shard* observed/bound ratio — each shard evaluation
-        is a Theorem 5.1 run over its own shard database, so that is the
-        ratio the theorem bounds by 1 (summing shard steps against the
-        full-database bound would double-count broadcast work)."""
-        bound: Optional[int] = None
-        tightening: Optional[float] = None
-        if resolved.cost is not None:
-            bound = resolved.cost.bound(db_entry.stats)
-            tightening = self._note_tightening(resolved, db_entry.stats)
         ratios = [
             row["bound_ratio"]
             for row in outcome.shard_rows
             if row.get("bound_ratio") is not None
         ]
-        ratio = max(ratios) if ratios else None
-        if ratio is not None:
-            self._metrics["bound_ratio"].set(ratio, query=resolved.name)
-        return {
+        compute_ms = (time.perf_counter() - compute_start) * 1000.0
+        # The profile carries the full-database static bound plus the
+        # per-shard rows.  Its headline ratio (and the gauge) is the
+        # *worst per-shard* observed/bound ratio: each shard evaluation is
+        # a Theorem 5.1 run over its own shard database, so that is the
+        # ratio the theorem bounds by 1 (summing shard steps against the
+        # full-database bound would double-count broadcast work).
+        profile = {
             "steps": outcome.steps,
-            "static_bound": bound,
-            "bound_ratio": ratio,
-            "tightening_ratio": tightening,
+            **self._bound_fields(binding, max(ratios) if ratios else None),
             "shard": outcome.profile_dict(policy, shard_plan),
         }
+        return CachedResult(
+            relation=decoded.relation,
+            decoded=decoded,
+            normal_form=None,
+            engine=binding.engine,
+            steps=outcome.steps,
+            stages=outcome.stages,
+            compute_wall_ms=compute_ms,
+            fuel_budget=max(fuels) if fuels else None,
+            profile=profile,
+            database_version=db_entry.version,
+        )
 
     # -- EXPLAIN ANALYZE -----------------------------------------------------
 
@@ -1258,95 +1113,17 @@ class QueryService:
             report["error"] = response.error
         return report
 
-    def _explain_static(self, extras: Dict[str, object]) -> dict:
+    @staticmethod
+    def _explain_static(extras: Dict[str, object]) -> dict:
         """The certificate side: what the analyzers promised before the
         request ran (order, cost polynomial before/after tightening,
-        read-set, distribution class)."""
-        resolved = extras.get("resolved")
-        db_entry = extras.get("db_entry")
-        if not isinstance(resolved, _ResolvedQuery):
+        read-set, distribution class).  The binding holds the part fixed
+        by the plan and database version; the distribution plan and shard
+        policy vary with the request's ``shards`` ask."""
+        binding = extras.get("binding")
+        if not isinstance(binding, Binding):
             return {}
-        entry = db_entry if isinstance(db_entry, DatabaseEntry) else None
-        key = (
-            resolved.digest,
-            resolved.name,
-            resolved.engine,
-            entry.name if entry is not None else None,
-            entry.version if entry is not None else None,
-        )
-        cached = self._explain_static_cache.get(key)
-        if cached is not None:
-            static = dict(cached)
-            return self._explain_static_request(static, extras)
-        static = self._explain_static_base(resolved, entry)
-        if len(self._explain_static_cache) >= 128:
-            self._explain_static_cache.clear()
-        self._explain_static_cache[key] = dict(static)
-        return self._explain_static_request(static, extras)
-
-    def _explain_static_base(
-        self,
-        resolved: "_ResolvedQuery",
-        db_entry: Optional[DatabaseEntry],
-    ) -> dict:
-        """The memoizable part of the static section — everything that
-        depends only on the resolved plan and the database version."""
-        static: Dict[str, object] = {
-            "query": resolved.name,
-            "digest": resolved.digest[:12],
-            "kind": "fixpoint" if resolved.fixpoint is not None else "term",
-            "engine": resolved.engine,
-            "order": resolved.order,
-            "signature": (
-                str(resolved.signature)
-                if resolved.signature is not None
-                else None
-            ),
-            "cost": (
-                resolved.base_cost.describe()
-                if resolved.base_cost is not None
-                else None
-            ),
-            "tightened_cost": (
-                resolved.cost.describe()
-                if resolved.cost is not None
-                and resolved.base_cost is not None
-                and resolved.cost != resolved.base_cost
-                else None
-            ),
-            "read_set": (
-                resolved.provenance.describe()
-                if resolved.provenance is not None
-                else None
-            ),
-            "compile": (
-                resolved.compiled.as_dict()
-                if resolved.compiled is not None
-                else None
-            ),
-        }
-        if db_entry is not None and resolved.cost is not None:
-            stats = db_entry.stats
-            static["static_bound"] = resolved.cost.bound(stats)
-            if (
-                resolved.base_cost is not None
-                and resolved.base_cost != resolved.cost
-            ):
-                base = resolved.base_cost.bound(stats)
-                static["base_bound"] = base
-                if base > 0:
-                    static["tightening_ratio"] = round(
-                        resolved.cost.bound(stats) / base, 6
-                    )
-        return static
-
-    @staticmethod
-    def _explain_static_request(
-        static: Dict[str, object], extras: Dict[str, object]
-    ) -> dict:
-        """Per-request additions to the static section (the resolved
-        distribution plan and shard policy vary with the request's
-        ``shards`` ask, so they stay out of the memo)."""
+        static = dict(binding.explain_static)
         plan = extras.get("plan")
         if plan is not None:
             static["distribution"] = {
@@ -1418,80 +1195,55 @@ class QueryService:
     def _finish_profile(
         self,
         collector: ProfileCollector,
-        resolved: _ResolvedQuery,
-        db_entry: DatabaseEntry,
+        binding: Binding,
         steps: Optional[int],
     ) -> dict:
         """The response-facing profile: the collected breakdown plus the
-        static cost bound and the observed/bound ratio (mirrored to the
-        ``repro_steps_bound_ratio`` gauge)."""
+        certificate fields of :meth:`_bound_fields`."""
         profile = collector.profile.as_dict()
-        bound: Optional[int] = None
-        tightening: Optional[float] = None
-        if resolved.cost is not None:
-            bound = resolved.cost.bound(db_entry.stats)
-            tightening = self._note_tightening(resolved, db_entry.stats)
-        ratio = bound_ratio(steps, bound)
-        profile["static_bound"] = bound
-        profile["bound_ratio"] = (
-            round(ratio, 6) if ratio is not None else None
-        )
-        profile["tightening_ratio"] = tightening
-        if ratio is not None:
-            self._metrics["bound_ratio"].set(ratio, query=resolved.name)
+        profile.update(self._bound_fields(
+            binding, bound_ratio(steps, binding.static_bound)
+        ))
         return profile
 
-    def _note_tightening(
-        self, resolved: _ResolvedQuery, stats: DatabaseStats
-    ) -> Optional[float]:
-        """When the effective profile is a tightened one, report how much
-        sharper it is (tightened/syntactic bound, in (0, 1]) on the
-        ``repro_cost_tightening_ratio`` gauge."""
-        if (
-            resolved.cost is None
-            or resolved.base_cost is None
-            or resolved.cost == resolved.base_cost
-        ):
-            return None
-        base = resolved.base_cost.bound(stats)
-        if base <= 0:
-            return None
-        ratio = resolved.cost.bound(stats) / base
-        self._metrics["tightening"].set(ratio, query=resolved.name)
-        return round(ratio, 6)
-
-    @staticmethod
-    def _fuel_for(
-        request: QueryRequest,
-        resolved: _ResolvedQuery,
-        db_entry: DatabaseEntry,
-    ) -> int:
-        """The fuel this evaluation runs under: an explicit request budget
-        wins; otherwise the plan's static cost certificate instantiated at
-        the database's size statistics; otherwise the flat default."""
-        if request.fuel is not None:
-            return request.fuel
-        return fuel_budget(resolved.cost, db_entry.stats, default=DEFAULT_FUEL)
+    def _bound_fields(
+        self, binding: Binding, ratio: Optional[float]
+    ) -> dict:
+        """The profile's static bound, observed/bound ratio and tightening
+        ratio, mirrored to the ``repro_steps_bound_ratio`` and
+        ``repro_cost_tightening_ratio`` gauges."""
+        name = binding.query.name
+        tightening = binding.tightening
+        if tightening is not None:
+            self._metrics["tightening"].set(tightening, query=name)
+            tightening = round(tightening, 6)
+        if ratio is not None:
+            self._metrics["bound_ratio"].set(ratio, query=name)
+            ratio = round(ratio, 6)
+        return {
+            "static_bound": binding.static_bound,
+            "bound_ratio": ratio,
+            "tightening_ratio": tightening,
+        }
 
     def _from_cache(
         self,
         request: QueryRequest,
-        resolved: _ResolvedQuery,
-        db_entry: DatabaseEntry,
+        binding: Binding,
         cached: CachedResult,
         arity: Optional[int],
         start: float,
     ) -> QueryResponse:
         if arity is not None and cached.relation.arity != arity:
             raise ReproError(
-                f"query {resolved.name!r} produced arity "
+                f"query {binding.query.name!r} produced arity "
                 f"{cached.relation.arity}, request asserts {arity}"
             )
         return QueryResponse(
             status=STATUS_OK,
-            query=resolved.name,
-            database=db_entry.name,
-            database_version=db_entry.version,
+            query=binding.query.name,
+            database=binding.database.name,
+            database_version=binding.database.version,
             engine=cached.engine,
             relation=cached.relation,
             reduced_form=cached.normal_form,

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.cost import CostProfile, DatabaseStats
+from repro.analysis.provenance import ProvenanceFacts
 from repro.db.relations import Database, Relation
 from repro.errors import FuelExhausted, ReproError
 from repro.lam.terms import Term
@@ -198,25 +199,28 @@ def execute_sharded_term(
     fuel_override: Optional[int],
     default_fuel: int,
     max_depth: int,
-    scanned_names: Optional[Sequence[str]] = None,
+    provenance: Optional[ProvenanceFacts] = None,
 ) -> ShardOutcome:
     """Partition, evaluate the term plan per shard, canonically merge.
 
-    ``scanned_names`` (the plan's exact read-set, TLI026) restricts only
-    the *fuel pricing* to the relations the plan scans; the per-shard
-    bound rows keep the full shard statistics, so the reported
-    ``bound_ratio`` stays a Theorem 5.1 comparison.
+    Each shard's statistics are computed once.  The plan's exact
+    read-set (``provenance``, TLI023) restricts only the *fuel pricing*
+    to the relations the plan scans; the per-shard bound rows keep the
+    full shard statistics, so the reported ``bound_ratio`` stays a
+    Theorem 5.1 comparison.
     """
     shards, partitioned, keys = _partition(
         database, db_digest, policy, plan, tracer
     )
+    stats = [DatabaseStats.of(shard) for shard in shards]
     fuels = [
         fuel_override
         if fuel_override is not None
         else shard_fuel(
-            cost, shard, default=default_fuel, scanned_names=scanned_names
+            cost, shard, shard_stats,
+            default=default_fuel, provenance=provenance,
         )
-        for shard in shards
+        for shard, shard_stats in zip(shards, stats)
     ]
     tasks = [
         {
@@ -258,11 +262,7 @@ def execute_sharded_term(
         parts.append(
             Relation.from_tuples(reply["arity"], reply["tuples"])
         )
-        bound = (
-            cost.bound(DatabaseStats.of(shards[index]))
-            if cost is not None
-            else None
-        )
+        bound = cost.bound(stats[index]) if cost is not None else None
         ratio = bound_ratio(steps, bound)
         rows.append(
             {

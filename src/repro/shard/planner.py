@@ -62,6 +62,7 @@ from typing import (
 
 from repro.analysis.analyzer import fuel_budget
 from repro.analysis.cost import CostProfile, DatabaseStats
+from repro.analysis.provenance import ProvenanceFacts, read_set_stats
 from repro.db.relations import Database
 from repro.errors import ReproError
 from repro.lam.nbe import nbe_normalize
@@ -605,31 +606,23 @@ def plan_distribution(
 def shard_fuel(
     cost: Optional[CostProfile],
     shard_database: Database,
+    stats: DatabaseStats,
     *,
     default: int,
-    scanned_names: Optional[Sequence[str]] = None,
+    provenance: Optional[ProvenanceFacts] = None,
 ) -> int:
     """The fuel budget for one shard task.
 
     The Theorem 5.1 cost certificate is a polynomial in the database
-    statistics; instantiated at the *shard's* statistics it bounds the
-    shard evaluation, and since the polynomial is monotone the per-shard
-    budget never exceeds the single-shard budget.  With ``scanned_names``
-    (an exact read-set, TLI023) the statistics are restricted to the
-    relations the plan actually scans — unscanned relations inflate the
-    budget without ever being folded.
+    statistics; instantiated at the *shard's* statistics (``stats``) it
+    bounds the shard evaluation, and since the polynomial is monotone the
+    per-shard budget never exceeds the single-shard budget.  With an
+    exact read-set (``provenance``, TLI023) the statistics are restricted
+    to the relations the plan actually scans — unscanned relations
+    inflate the budget without ever being folded.
     """
-    stats_db = shard_database
-    if scanned_names is not None:
-        keep = set(scanned_names)
-        if keep < set(shard_database.names):
-            stats_db = Database(
-                tuple(
-                    (name, relation)
-                    for name, relation in shard_database
-                    if name in keep
-                )
-            )
     return fuel_budget(
-        cost, DatabaseStats.of(stats_db), default=default
+        cost,
+        read_set_stats(provenance, shard_database, stats),
+        default=default,
     )

@@ -52,7 +52,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Optional
 
 from repro.db.relations import Database, Relation
-from repro.errors import EvaluationError, FuelExhausted, ReproError
+from repro.errors import FuelExhausted, ReproError
 from repro.obs.tracing import NOOP_SPAN, SpanRecorder
 
 #: Events reported to the pool's observer callback.
@@ -162,7 +162,6 @@ def execute_task(task: dict, cache: Optional["OrderedDict"] = None) -> dict:
             _resolve_database(task, cache)
             return {"ok": True, "kind": "db"}
         if kind == "term":
-            from repro.compile import CompileFallback
             from repro.db.decode import decode_relation
             from repro.obs.profiler import ProfileCollector
             from repro.service.engines import evaluate_term_query
@@ -184,30 +183,19 @@ def execute_task(task: dict, cache: Optional["OrderedDict"] = None) -> dict:
                 with recorder.span(
                     "worker.evaluate", engine=engine
                 ) as span:
-                    try:
-                        result = evaluate_term_query(
-                            task["term"],
-                            database,
-                            engine=engine,
-                            fuel=task.get("fuel"),
-                            max_depth=task.get("max_depth", 600_000),
-                            observer=collector,
-                            output_arity=task.get("arity"),
-                        )
-                    except (CompileFallback, EvaluationError):
-                        # "ra" degrades to NBE per shard (same relation,
-                        # reduction semantics); other engines re-raise.
-                        if engine != "ra":
-                            raise
+                    # "ra" degrades to NBE per shard inside the engine
+                    # call (same relation, reduction semantics).
+                    result = evaluate_term_query(
+                        task["term"],
+                        database,
+                        engine=engine,
+                        fuel=task.get("fuel"),
+                        max_depth=task.get("max_depth", 600_000),
+                        observer=collector,
+                        output_arity=task.get("arity"),
+                    )
+                    if result.fallback is not None:
                         span.set_attr("compile_fallback", True)
-                        result = evaluate_term_query(
-                            task["term"],
-                            database,
-                            engine="nbe",
-                            fuel=task.get("fuel"),
-                            max_depth=task.get("max_depth", 600_000),
-                            observer=collector,
-                        )
                     span.set_attr("steps", result.steps)
                 relation = (
                     result.decoded

@@ -677,6 +677,103 @@ class TestEdgeEndToEnd:
         )
 
 
+def count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` wherever a loaded module of the
+    program looks the name up; returns the list of recorded calls."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, loaded in list(sys.modules.items()):
+        if (
+            module_name.partition(".")[0] == "repro"
+            and getattr(loaded, name, None) is original
+        ):
+            monkeypatch.setattr(loaded, name, counting)
+    return calls
+
+
+class TestBindingAtTheEdge:
+    """The edge prices a request through the binding the runtime then
+    serves it with: one contract check and one pricing per plan and
+    database version."""
+
+    def test_identical_requests_check_the_contract_once(self, monkeypatch):
+        from repro.analysis import provenance
+
+        service = make_service()
+        checks = count_calls(monkeypatch, provenance, "check_schema_contract")
+
+        async def scenario(edge):
+            for _ in range(5):
+                status, _, payload = await request(
+                    edge.port, "POST", "/v1/query", body={"query": "swap"}
+                )
+                assert status == 200 and payload["status"] == "ok"
+
+        # A fixed capacity: auto-sizing would bind every registered pair
+        # before the first request.
+        run_edge(scenario, service=service, max_inflight_fuel=10 ** 9)
+        assert len(checks) == 1
+
+    def test_partial_read_set_is_swept_once(self, monkeypatch):
+        from repro.analysis.cost import DatabaseStats
+
+        original = DatabaseStats.of
+        sweeps = []
+
+        def counting(database):
+            sweeps.append(database)
+            return original(database)
+
+        async def scenario(edge):
+            # "tc" reads R1 of main's R1, R2: admission prices it at the
+            # statistics of R1 alone, computed once per database version.
+            monkeypatch.setattr(DatabaseStats, "of", staticmethod(counting))
+            body = {"query": "tc", "database": "main"}
+            status, _, _ = await request(
+                edge.port, "POST", "/v1/query", body=body
+            )
+            assert status == 200
+            after_first = len(sweeps)
+            for _ in range(4):
+                status, _, _ = await request(
+                    edge.port, "POST", "/v1/query", body=body
+                )
+                assert status == 200
+            assert len(sweeps) == after_first
+
+        run_edge(scenario)
+
+    def test_contract_breaking_replacement_is_refused(self):
+        from repro.db.relations import Database, Relation
+
+        service = make_service()
+
+        async def scenario(edge):
+            body = {"query": "swap", "database": "main"}
+            status, _, _ = await request(
+                edge.port, "POST", "/v1/query", body=body
+            )
+            assert status == 200
+            service.update_database("main", Database.of({
+                "A": Relation.from_tuples(2, [("a", "b")]),
+                "B": Relation.from_tuples(2, [("b", "c")]),
+                "C": Relation.from_tuples(1, [("a",)]),
+            }))
+            status, _, payload = await request(
+                edge.port, "POST", "/v1/query", body=body
+            )
+            assert status == 400
+            assert payload["error"]["code"] == "bad_query"
+            assert "TLI024" in payload["error"]["message"]
+
+        run_edge(scenario, service=service)
+
+
 class TestFlightAndExplain:
     def test_traceparent_adopted_and_echoed(self):
         from repro.obs import make_trace_id

@@ -1,11 +1,14 @@
 """Tests for the NBE normalizer: agreement with the small-step engine."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db.encode import encode_relation
 from repro.db.generators import random_relation
+from repro.db.relations import Relation
 from repro.lam.alpha import alpha_equal
 from repro.lam.combinators import (
     add_term,
@@ -20,6 +23,8 @@ from repro.lam.nbe import nbe_normalize
 from repro.lam.parser import parse
 from repro.lam.reduce import Strategy, is_normal_form, normalize
 from repro.lam.terms import Const, Var, app
+from repro.queries.operators import select_term
+from repro.relalg.ast import ColumnEqualsConst
 
 
 class TestAgreementWithSmallStep:
@@ -107,3 +112,23 @@ class TestNBEProperties:
     def test_eta_is_not_performed(self):
         term = parse(r"\x. f x")
         assert alpha_equal(nbe_normalize(term), term)
+
+    def test_failing_rows_cost_no_host_stack(self):
+        # A row that fails the selection hands back its accumulator, which
+        # demands the next row.  The evaluator continues into such thunks
+        # in its own loop, so 2000 failing rows fit a 3000-frame limit; a
+        # recursive force takes several frames per row.
+        rel = Relation.from_tuples(
+            2, [(f"o{i}", f"o{i + 1}") for i in range(2000)]
+        )
+        term = app(
+            select_term(2, ColumnEqualsConst(0, "none")),
+            encode_relation(rel),
+        )
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(3000)
+        try:
+            result = nbe_normalize(term, max_depth=3000)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert alpha_equal(result, parse(r"\c. \n. n"))

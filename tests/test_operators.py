@@ -11,7 +11,7 @@ from repro.db.generators import constant_universe, random_relation
 from repro.lam.combinators import boolean_value
 from repro.lam.nbe import nbe_normalize
 from repro.lam.reduce import normalize
-from repro.lam.terms import Const, app
+from repro.lam.terms import Const, EqConst, Var, app, term_size
 from repro.queries import operators as ops
 from repro.queries.language import QueryArity, recognize_tli
 from repro.relalg.ast import (
@@ -191,6 +191,70 @@ class TestProductProjectSelect:
         )
         assert result.as_set() == {
             r for r in rel.tuples if predicate(r)
+        }
+
+
+def holds(condition, row):
+    """Reference semantics of a selection condition on one row."""
+    if isinstance(condition, CondTrue):
+        return True
+    if isinstance(condition, ColumnEqualsColumn):
+        return row[condition.left] == row[condition.right]
+    if isinstance(condition, ColumnEqualsConst):
+        return row[condition.column] == condition.constant
+    if isinstance(condition, CondAnd):
+        return holds(condition.left, row) and holds(condition.right, row)
+    if isinstance(condition, CondOr):
+        return holds(condition.left, row) or holds(condition.right, row)
+    return not holds(condition.inner, row)
+
+
+class TestConditionCompilation:
+    def test_condition_without_repeated_tests_is_plain_chaining(self):
+        # (#0 = o1 or #1 = o2) and not #0 = #1, chained by hand: the
+        # conjunction's second test sits below both exits of the first.
+        condition = CondAnd(
+            CondOr(ColumnEqualsConst(0, "o1"), ColumnEqualsConst(1, "o2")),
+            CondNot(ColumnEqualsColumn(0, 1)),
+        )
+        x1, x2, keep, skip = Var("x1"), Var("x2"), Var("keep"), Var("skip")
+        differ = app(EqConst(), x1, x2, skip, keep)
+        expected = app(
+            EqConst(),
+            x1,
+            Const("o1"),
+            differ,
+            app(EqConst(), x2, Const("o2"), differ, skip),
+        )
+        compiled = ops.compile_condition(condition, [x1, x2], keep, skip)
+        assert compiled == expected
+
+    def test_repeated_tests_are_decided_once_per_path(self):
+        # Two tests, each repeated at every one of 40 levels.  Plain
+        # chaining copies both continuations below every test, so its
+        # term grows like the Fibonacci numbers with the depth; a test
+        # already decided on the path is not emitted again.
+        first = ColumnEqualsConst(0, "o1")
+        second = ColumnEqualsColumn(1, 0)  # the same test as #0 = #1
+        condition = ColumnEqualsColumn(0, 1)
+        for depth in range(40):
+            if depth % 2:
+                condition = CondOr(
+                    CondAnd(condition, second), CondNot(first)
+                )
+            else:
+                condition = CondAnd(CondOr(second, condition), first)
+        x1, x2, keep, skip = Var("x1"), Var("x2"), Var("keep"), Var("skip")
+        compiled = ops.compile_condition(condition, [x1, x2], keep, skip)
+        # Two tests decide every path: at most three ``Eq a b`` spines of
+        # seven nodes each, above four leaves.
+        assert term_size(compiled) <= 3 * 7 + 4
+        rel = random_relation(2, 9, constant_universe(3), seed=8)
+        result = reduce_to_relation(
+            app(ops.select_term(2, condition), encode_relation(rel)), 2
+        )
+        assert result.as_set() == {
+            row for row in rel.tuples if holds(condition, row)
         }
 
 

@@ -757,3 +757,134 @@ class TestEncodingBoundary:
         )
         assert response.ok and not response.cache_hit
         assert encodings[len(db):] == [changed]
+
+
+def binding_facts(binding):
+    """Everything a binding computes, each read once."""
+    return (
+        binding.contract_error,
+        binding.version_key,
+        binding.scanned,
+        binding.price,
+        binding.fuel,
+        binding.static_bound,
+        binding.tightening,
+        binding.explain_static,
+    )
+
+
+class TestBindings:
+    """One binding per plan and database version (``Catalog.bind``)."""
+
+    def test_memoized_per_plan_and_version(self, service):
+        catalog = service.catalog
+        query = catalog.get_query("swap")
+        entry = catalog.get_database("main")
+        binding = catalog.bind(query, entry, query.engine)
+        assert catalog.bind(query, entry, query.engine) is binding
+        assert binding.contract_error is None
+        # "swap" scans R1 only: admission charges R1's statistics, the
+        # evaluation runs under the bound for the whole database.
+        assert binding.scanned == ("R1",)
+        assert binding.price <= binding.fuel
+        response = service.execute(
+            QueryRequest(query="swap", database="main")
+        )
+        assert response.fuel_budget == binding.fuel
+        assert response.profile["static_bound"] == binding.static_bound
+        assert catalog.bind(query, entry, query.engine) is binding
+
+    def test_not_reused_after_apply_update(self, service):
+        catalog = service.catalog
+        query = catalog.get_query("swap")
+        old_entry = catalog.get_database("main")
+        old = catalog.bind(query, old_entry, query.engine)
+        service.apply_update(
+            "main", {"R1": Relation.from_tuples(2, [("o1", "o2")])}
+        )
+        entry = catalog.get_database("main")
+        new = catalog.bind(query, entry, query.engine)
+        assert new is not old and new.database is entry
+        assert new.version_key != old.version_key
+        # The replaced version's memo goes with it.
+        assert old_entry.bindings == {}
+
+    def test_not_reused_after_the_plan_is_re_registered(self, service, db):
+        catalog = service.catalog
+        entry = catalog.get_database("main")
+        first = catalog.get_query("swap")
+        old = catalog.bind(first, entry, first.engine)
+        catalog.register_query("swap", parse(DIAG), signature=SIG22)
+        second = catalog.get_query("swap")
+        new = catalog.bind(second, entry, second.engine)
+        assert new is not old and new.query is second
+        assert catalog.bind(second, entry, second.engine) is new
+        response = service.execute(
+            QueryRequest(query="swap", database="main")
+        )
+        expected = run_query(parse(DIAG), db, arity=2).relation
+        assert response.ok and response.relation.same_set(expected)
+
+    def test_not_reused_after_a_contract_breaking_replacement(self, service):
+        catalog = service.catalog
+        query = catalog.get_query("swap")
+        assert service.execute(
+            QueryRequest(query="swap", database="main")
+        ).ok
+        service.update_database("main", Database.of({
+            "A": Relation.from_tuples(2, [("a", "b")]),
+            "B": Relation.from_tuples(2, [("b", "c")]),
+            "C": Relation.from_tuples(1, [("a",)]),
+        }))
+        binding = catalog.bind(
+            query, catalog.get_database("main"), query.engine
+        )
+        assert "[TLI024]" in binding.contract_error
+        response = service.execute(
+            QueryRequest(query="swap", database="main")
+        )
+        assert response.status == "error"
+        assert response.error == binding.contract_error
+
+    def test_inline_plans_and_databases_are_never_memoized(
+        self, service, db
+    ):
+        entry = service.catalog.get_database("main")
+        for request in (
+            QueryRequest(query="swap", database="main"),
+            QueryRequest(query=parse(SWAP), database="main"),
+            QueryRequest(query="swap", database=db),
+        ):
+            assert service.execute(request).ok
+        assert list(entry.bindings) == [("swap", "ra")]
+
+    def test_concurrent_binds_agree(self, service):
+        import sys
+        import threading
+
+        catalog = service.catalog
+        query = catalog.get_query("swap")
+        entry = catalog.get_database("main")
+        barrier = threading.Barrier(8)
+        bound = []
+
+        def bind():
+            barrier.wait()
+            binding = catalog.bind(query, entry, query.engine)
+            bound.append((binding, binding_facts(binding)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=bind) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(bound) == 8
+        first, facts = bound[0]
+        assert all(b == first and f == facts for b, f in bound)
+        memoized = catalog.bind(query, entry, query.engine)
+        assert any(memoized is b for b, _ in bound)

@@ -529,6 +529,27 @@ class TestServiceSharding:
         assert again.cache_hit
         assert again.relation.tuples == first.relation.tuples
 
+    def test_one_statistics_sweep_per_shard(self, shard_service, monkeypatch):
+        """The fuel split and the bound rows share each shard's
+        statistics: "swap" scans main's only relation, so its read-set
+        statistics are the shard's own."""
+        from repro.analysis.cost import DatabaseStats
+
+        original = DatabaseStats.of
+        sweeps = []
+
+        def counting(database):
+            sweeps.append(database)
+            return original(database)
+
+        monkeypatch.setattr(DatabaseStats, "of", staticmethod(counting))
+        response = shard_service.execute(
+            QueryRequest(query="swap", database="main", shards=2)
+        )
+        assert response.ok and not response.cache_hit
+        assert len(response.profile["shard"]["rows"]) == 2
+        assert len(sweeps) == 2
+
     def test_local_fallback_for_unshardable_plans(self, shard_service):
         shard_service.catalog.register_query(
             "selfjoin", parse(SELF_JOIN), signature=SIG1
