@@ -624,21 +624,12 @@ def abstract_fixpoint_facts(query) -> AbstractFacts:
     ``|D|^k`` stages (each stage adds at least one of the ``|D|^k``
     candidate tuples, or the iteration has converged).
     """
-    from repro.relalg.ast import Base, RAExpr
+    from repro.relalg.ast import Base, nodes
 
     counts: Dict[str, int] = {name: 0 for name in query.input_names()}
-
-    def visit(expr) -> None:
-        if isinstance(expr, Base):
-            if expr.name in counts:
-                counts[expr.name] += 1
-            return
-        for attr in getattr(expr, "__slots__", ()):
-            child = getattr(expr, attr)
-            if isinstance(child, RAExpr):
-                visit(child)
-
-    visit(query.effective_step())
+    for node in nodes(query.effective_step()):
+        if isinstance(node, Base) and node.name in counts:
+            counts[node.name] += 1
     k = query.output_arity
     return AbstractFacts(
         kind="fixpoint",

@@ -265,22 +265,12 @@ def fixpoint_cost_profile(
     coefficient: int = DEFAULT_COEFFICIENT,
 ) -> CostProfile:
     """The cost profile of a Theorem 4.2 fixpoint tower."""
-    from repro.relalg.ast import RAExpr
-
-    def base_occurrences(expr: RAExpr) -> int:
-        from repro.relalg.ast import Base
-
-        if isinstance(expr, Base):
-            return 1
-        total = 0
-        for attr in getattr(expr, "__slots__", ()):
-            child = getattr(expr, attr)
-            if isinstance(child, RAExpr):
-                total += base_occurrences(child)
-        return total
+    from repro.relalg.ast import Base, nodes
 
     k = query.output_arity
-    b = base_occurrences(query.effective_step())
+    b = sum(
+        1 for node in nodes(query.effective_step()) if isinstance(node, Base)
+    )
     return CostProfile(
         kind="fixpoint",
         size=max(term_size(compiled), 1),

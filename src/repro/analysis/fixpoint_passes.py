@@ -8,7 +8,7 @@ non-inflationary steps, and dead inputs.
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Set
 
 from repro.analysis.diagnostics import AnalysisReport
 from repro.errors import SchemaError
@@ -19,21 +19,9 @@ from repro.relalg.ast import (
     Condition,
     Difference,
     RAExpr,
+    nodes,
     schema_with_derived,
 )
-
-
-def _walk_expr(expr: RAExpr) -> List[RAExpr]:
-    out: List[RAExpr] = []
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        for attr in getattr(type(node), "__slots__", ()):
-            child = getattr(node, attr)
-            if isinstance(child, RAExpr):
-                stack.append(child)
-    return out
 
 
 def _has_negation(expr: RAExpr) -> bool:
@@ -46,7 +34,7 @@ def _has_negation(expr: RAExpr) -> bool:
                 return True
         return False
 
-    for node in _walk_expr(expr):
+    for node in nodes(expr):
         if isinstance(node, Difference):
             return True
         condition = getattr(node, "condition", None)
@@ -78,7 +66,7 @@ def fixpoint_pass(query: FixpointQuery, report: AnalysisReport) -> None:
         return
 
     base_names: Set[str] = {
-        node.name for node in _walk_expr(step) if isinstance(node, Base)
+        node.name for node in nodes(step) if isinstance(node, Base)
     }
 
     # TLI015: dead inputs.
@@ -98,7 +86,7 @@ def fixpoint_pass(query: FixpointQuery, report: AnalysisReport) -> None:
     # step that ignores it still converges after one stage.
     raw_bases = {
         node.name
-        for node in _walk_expr(query.step)
+        for node in nodes(query.step)
         if isinstance(node, Base)
     }
     if FIX_NAME not in raw_bases:

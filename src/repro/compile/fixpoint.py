@@ -1,4 +1,4 @@
-"""Set-at-a-time fixpoint iteration — the compiled TLI=1 evaluator.
+"""Set-at-a-time fixpoint iteration — the one set-level Theorem 5.2 loop.
 
 :func:`repro.eval.ptime.run_fixpoint_query` already avoids the
 exponential redex towers by materializing each stage, but it still runs
@@ -17,132 +17,142 @@ and keeps exactly the accepted tuples — i.e. the reencoding is the
 is set equality; so the set-based loop converges at the same stage with
 the same relation as a set, and under the inflationary wrapper the
 chain is monotone, letting the loop stop as soon as a stage adds no new
-tuples (the delta is tracked per stage — the hook where a semi-naive
-step rewrite slots in).  The final relation is put in a deterministic
-canonical order by one ``D^k`` sweep in active-domain order, mirroring
-the enumeration the lambda-level ``FuncToList'`` performs.
+tuples.
+
+:func:`run_fixpoint_query_compiled` takes the stage step as an argument
+and owns everything else: the TLI024 input check, the inputs-only domain
+and the ``|D|^k`` crank, set-equality convergence, the stage accounting
+and the final ``D^k`` sweep.  Two steps run in it: :func:`set_stage`, the
+default, and the sharded coordinator's fan-out step
+(:func:`repro.shard.executor.execute_sharded_fixpoint`).  A semi-naive
+rewrite therefore changes this one loop: it would hand the step the
+frontier ``next - current`` next to the stage.
+
+The final relation is put in ``FuncToList'``'s order by one ``D^k``
+sweep over the domain list the lambda-level converter enumerates
+(:func:`funclist_domain`), so every engine returns the same tuple order.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product as cartesian
-from typing import List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from repro.db.decode import DecodedRelation
 from repro.db.relations import Database, Relation
-from repro.errors import SchemaError
 from repro.eval.ptime import FixpointRun
 from repro.queries.fixpoint import FIX_NAME, FixpointQuery
-from repro.relalg.ast import ADOM_NAME, PRECEDES_PREFIX, Base, RAExpr
+from repro.relalg.ast import ADOM_NAME, PRECEDES_PREFIX, Base, RAExpr, nodes
 from repro.relalg.engine import evaluate_ra
+
+#: One stage: the current stage in; the next stage and the work it took
+#: out.
+StageStep = Callable[[Relation], Tuple[Relation, int]]
 
 
 def step_read_set(query: FixpointQuery) -> Tuple[str, ...]:
     """Input relations the step reads (``adom()`` sweeps all of them)."""
     names: Set[str] = set()
-    sweeps_all = False
-
-    def walk(expr: RAExpr) -> None:
-        nonlocal sweeps_all
-        if isinstance(expr, Base):
-            if expr.name == ADOM_NAME:
-                sweeps_all = True
-            elif expr.name.startswith(PRECEDES_PREFIX):
-                names.add(expr.name[len(PRECEDES_PREFIX):])
-            elif expr.name != FIX_NAME:
-                names.add(expr.name)
-            return
-        for attr in ("left", "right", "inner"):
-            child = getattr(expr, attr, None)
-            if isinstance(child, RAExpr):
-                walk(child)
-
-    walk(query.effective_step())
-    if sweeps_all:
-        return query.input_names()
+    for node in nodes(query.effective_step()):
+        if not isinstance(node, Base):
+            continue
+        if node.name == ADOM_NAME:
+            return query.input_names()
+        if node.name.startswith(PRECEDES_PREFIX):
+            names.add(node.name[len(PRECEDES_PREFIX):])
+        elif node.name != FIX_NAME:
+            names.add(node.name)
     return tuple(n for n in query.input_names() if n in names)
+
+
+def funclist_domain(inputs: Database) -> List[str]:
+    """The active-domain list ``FuncToList'`` enumerates.
+
+    :func:`repro.queries.relalg_compile.active_domain_expr_term` unions
+    the distinct projections of every input column (inputs in schema
+    order, each projection in list order), and each union puts the
+    constants the list so far lacks in front of it.
+    """
+    seen: Set[str] = set()
+    pieces: List[List[str]] = []
+    for _, relation in inputs:
+        for column in range(relation.arity):
+            fresh = []
+            for row in relation.tuples:
+                if row[column] not in seen:
+                    seen.add(row[column])
+                    fresh.append(row[column])
+            pieces.append(fresh)
+    return [value for piece in reversed(pieces) for value in piece]
+
+
+def set_stage(
+    step: RAExpr, inputs: Database, stage: Relation
+) -> Tuple[Relation, int]:
+    """One set stage: ``step`` over ``inputs`` with ``stage`` bound to
+    ``__FIX__``, costing the tuples it produced plus the ones it read
+    back."""
+    next_relation = evaluate_ra(step, inputs.with_relation(FIX_NAME, stage))
+    return next_relation, len(next_relation) + len(stage)
 
 
 def run_fixpoint_query_compiled(
     query: FixpointQuery,
     database: Database,
     *,
+    step: Optional[StageStep] = None,
     stop_on_convergence: bool = True,
     read_trace: Optional[Set[str]] = None,
 ) -> FixpointRun:
-    """Iterate the fixpoint step set-at-a-time.
+    """Iterate the fixpoint ``step`` (default :func:`set_stage`) set-at-a-time.
 
     Mirrors :func:`repro.eval.ptime.run_fixpoint_query`'s contract —
     same TLI024 schema validation, same ``|D|^k`` crank cap, same
-    ``stages`` / ``stage_sizes`` / ``converged_at`` accounting — but the
-    reported step count is the executor's *operation* count (tuples
-    scanned and produced per stage), which the Theorem 5.2 certificates
-    bound a fortiori.
+    ``stages`` / ``stage_sizes`` / ``converged_at`` accounting, same
+    tuple order — but the reported step count is the steps' own work
+    (for :func:`set_stage`, tuples produced and read back per stage) plus
+    the ``|D|^k`` sweep, which the Theorem 5.2 certificates bound a
+    fortiori.
     """
-    schema = query.schema()
-    names = list(query.input_names())
-    k = query.output_arity
-
-    problems = []
-    for name in names:
-        if name not in database:
-            problems.append(f"input relation {name!r} is missing")
-        elif database[name].arity != schema[name]:
-            problems.append(
-                f"input {name!r} expects arity {schema[name]}, database "
-                f"has arity {database[name].arity}"
-            )
-    if problems:
-        raise SchemaError(
-            "[TLI024] fixpoint query does not fit the database schema: "
-            + "; ".join(problems)
-        )
-
-    inputs_db = Database(tuple((name, database[name]) for name in names))
+    inputs_db = query.input_database(database)
     if read_trace is not None:
         read_trace.update(step_read_set(query))
-
-    domain = inputs_db.active_domain()
+    if step is None:
+        step = partial(set_stage, query.effective_step(), inputs_db)
+    k = query.output_arity
+    domain = funclist_domain(inputs_db)
     crank_length = len(domain) ** k
-    step_expr = query.effective_step()
 
     ops = 0
-    current: Set[Tuple[str, ...]] = set()
-    stage_relation = Relation.empty(k)
+    current: frozenset = frozenset()
+    stage = Relation.empty(k)
     stage_sizes: List[int] = [0]
     converged_at: Optional[int] = None
     stages_run = 0
     for index in range(crank_length):
-        step_db = inputs_db.with_relation(FIX_NAME, stage_relation)
-        next_relation = evaluate_ra(step_expr, step_db)
+        next_relation, stage_ops = step(stage)
         next_set = next_relation.as_set()
-        ops += len(next_relation) + len(stage_relation)
+        ops += stage_ops
         stages_run += 1
         stage_sizes.append(len(next_set))
-        # ``next_set - current`` is the semi-naive frontier a rewritten
-        # step would join against next round; under the inflationary
-        # wrapper it is empty exactly at convergence.
         converged = next_set == current
         current = next_set
-        stage_relation = next_relation
+        stage = next_relation
         if converged:
             converged_at = index + 1
             if stop_on_convergence:
                 break
 
-    # Canonical order: the D^k enumeration FuncToList' performs.
-    canonical = tuple(
-        row for row in cartesian(domain, repeat=k) if row in current
+    relation = Relation(
+        k, tuple(row for row in cartesian(domain, repeat=k) if row in current)
     )
-    ops += crank_length
-    stage_relation = Relation(k, canonical)
-
     return FixpointRun(
-        relation=stage_relation,
-        decoded=DecodedRelation.of(stage_relation),
+        relation=relation,
+        decoded=DecodedRelation.of(relation),
         normal_form=None,
         stages=stages_run,
         stage_sizes=stage_sizes,
         converged_at=converged_at,
-        nbe_steps=ops,
+        nbe_steps=ops + crank_length,
     )

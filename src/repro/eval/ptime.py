@@ -54,7 +54,7 @@ from typing import Callable, List, Optional, Set
 from repro.db.decode import DecodedRelation, decode_relation
 from repro.db.encode import encode_database, encode_relation
 from repro.db.relations import Database, Relation
-from repro.errors import EvaluationError, SchemaError
+from repro.errors import EvaluationError
 from repro.lam.nbe import nbe_normalize_counted
 from repro.lam.terms import Term, Var, app, lam
 from repro.queries.fixpoint import (
@@ -137,25 +137,7 @@ def run_fixpoint_query(
     schema = query.schema()
     names = list(query.input_names())
     k = query.output_arity
-
-    problems = []
-    for name in names:
-        if name not in database:
-            problems.append(f"input relation {name!r} is missing")
-        elif database[name].arity != schema[name]:
-            problems.append(
-                f"input {name!r} expects arity {schema[name]}, database "
-                f"has arity {database[name].arity}"
-            )
-    if problems:
-        raise SchemaError(
-            "[TLI024] fixpoint query does not fit the database schema: "
-            + "; ".join(problems)
-        )
-
-    # Restrict to the schema relations, in schema order: the tower binds
-    # exactly these, and the Crank length / active domain range over them.
-    inputs_db = Database(tuple((name, database[name]) for name in names))
+    inputs_db = query.input_database(database)
     if read_trace is not None:
         read_trace.update(names)
 

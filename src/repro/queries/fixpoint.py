@@ -34,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
-from repro.errors import QueryTermError
+from repro.db.relations import Database
+from repro.errors import QueryTermError, SchemaError
 from repro.lam.terms import Abs, Const, Term, Var, app, lam
 from repro.queries import operators as ops
 from repro.queries.relalg_compile import compile_ra
@@ -211,6 +212,31 @@ class FixpointQuery:
 
     def input_names(self) -> Tuple[str, ...]:
         return tuple(name for name, _ in self.input_schema)
+
+    def input_database(self, database: Database) -> Database:
+        """``database`` restricted to the input relations, in schema order.
+
+        The compiled tower binds exactly these relations, and the crank
+        and the active domain range over them.  A missing input, or one
+        at the wrong arity, raises a TLI024 :class:`SchemaError`.
+        """
+        problems = []
+        for name, arity in self.input_schema:
+            if name not in database:
+                problems.append(f"input relation {name!r} is missing")
+            elif database[name].arity != arity:
+                problems.append(
+                    f"input {name!r} expects arity {arity}, database "
+                    f"has arity {database[name].arity}"
+                )
+        if problems:
+            raise SchemaError(
+                "[TLI024] fixpoint query does not fit the database schema: "
+                + "; ".join(problems)
+            )
+        return Database(
+            tuple((name, database[name]) for name, _ in self.input_schema)
+        )
 
 
 def _adom_term(schema: Mapping[str, int], var_of, distinct: bool = True) -> Term:

@@ -16,7 +16,7 @@ Two *derived* base relations are available beyond the schema:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Tuple
+from typing import Iterator, Mapping, Sequence, Tuple
 
 from repro.errors import SchemaError
 
@@ -239,6 +239,18 @@ class Select(RAExpr):
                     f"(inner arity {inner_arity})"
                 )
         return inner_arity
+
+
+def nodes(expr: RAExpr) -> Iterator[RAExpr]:
+    """``expr`` and every sub-expression, parents first, left to right."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        for attr in reversed(type(node).__slots__):
+            child = getattr(node, attr)
+            if isinstance(child, RAExpr):
+                stack.append(child)
 
 
 def _same_arity(

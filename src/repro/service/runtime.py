@@ -654,14 +654,23 @@ class QueryService:
                 f"query {query.name!r} has no fixpoint spec; the "
                 f"'fixpoint' engine applies to FixpointQuery plans only"
             )
+        if query.plan_term is None and binding.engine not in (
+            FIXPOINT_ENGINE, RA_ENGINE,
+        ):
+            raise ReproError(
+                f"query {query.name!r} is a fixpoint spec without a "
+                f"compiled tower; it runs on the 'fixpoint' or 'ra' "
+                f"engine, not {binding.engine!r}"
+            )
         if binding.contract_error is not None:
             # TLI024: the database cannot satisfy the plan's read
             # contract, so the pair is rejected before any evaluation.
             raise SchemaError(binding.contract_error)
         policy, shard_plan = self._shard_dispatch(request, binding)
-        # Sharded results come back in canonical (merged) order, so they
-        # must not share cache entries with in-process results: the shard
-        # spec is folded into the cache key's engine component.
+        # Sharded term plans come back in canonical (merged) order, so
+        # sharded results must not share cache entries with in-process
+        # results: the shard spec is folded into the cache key's engine
+        # component.
         engine_key = (
             f"{binding.engine}#s{policy.shards}:{policy.partitioner}"
             if policy is not None
@@ -1026,6 +1035,7 @@ class QueryService:
                 policy=policy,
                 plan=shard_plan,
                 fixpoint=query.fixpoint,
+                engine=binding.engine,
                 database=db_entry.database,
                 db_digest=db_entry.digest,
                 cost=query.effective_cost,

@@ -3,18 +3,20 @@
 This is the piece the service runtime calls when a request carries a
 :class:`~repro.shard.policy.ShardPolicy`.  It owns no state — the pool,
 tracer and metrics belong to the service — and returns a
-:class:`ShardOutcome` whose relation is in canonical order (the merge
-combiner's order), with a per-shard profile carrying each shard's
+:class:`ShardOutcome` with a per-shard profile carrying each shard's
 observed steps against its own Theorem 5.1 bound.
 
 Two drivers:
 
-* :func:`execute_sharded_term` — one task per shard, single round.
-* :func:`execute_sharded_fixpoint` — the coordinator runs the Theorem 5.2
-  stage loop; each stage fans the step evaluation out over the shards with
-  the current stage relation broadcast as ``__FIX__``, merges, and checks
-  convergence globally (the stage barrier is what makes broadcast of the
-  fixpoint variable sound).
+* :func:`execute_sharded_term` — one task per shard, single round; the
+  relation comes back in canonical (the merge combiner's sorted) order.
+* :func:`execute_sharded_fixpoint` — hands the compiled Theorem 5.2 stage
+  loop (:func:`repro.compile.fixpoint.run_fixpoint_query_compiled`) a
+  fan-out step: each stage runs on every shard, on the request's engine,
+  with the current stage relation broadcast as ``__FIX__``, and the shard
+  outputs are merged (the stage barrier is what makes broadcast of the
+  fixpoint variable sound).  The loop checks convergence globally and
+  returns the relation in the unsharded engines' ``D^k`` order.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.cost import CostProfile, DatabaseStats
 from repro.analysis.provenance import ProvenanceFacts
+from repro.compile.fixpoint import run_fixpoint_query_compiled
 from repro.db.relations import Database, Relation
 from repro.errors import FuelExhausted, ReproError
 from repro.lam.terms import Term
 from repro.obs.profiler import bound_ratio
 from repro.obs.tracing import Span, Tracer
-from repro.queries.fixpoint import FIX_NAME, FixpointQuery
+from repro.queries.fixpoint import FixpointQuery
 from repro.shard.partition import merge_relations, partition_database
 from repro.shard.planner import DistributionPlan, shard_fuel
 from repro.shard.policy import ShardPolicy
@@ -106,10 +109,31 @@ def _partition(
     return shards, partitioned, keys
 
 
-def _shard_input_tuples(
-    shard: Database, partitioned: Sequence[str]
-) -> int:
-    return sum(len(shard[name]) for name in partitioned)
+def _shard_row(
+    index: int,
+    shard: Database,
+    partitioned: Sequence[str],
+    steps: int,
+    fuel: Optional[int],
+    bound: Optional[int],
+    meta: dict,
+    **extra: int,
+) -> dict:
+    """One shard's profile row: its observed steps against its own bound
+    (``meta`` carries the worker, retry count and degraded flag)."""
+    ratio = bound_ratio(steps, bound)
+    return {
+        "shard": index,
+        "input_tuples": sum(len(shard[name]) for name in partitioned),
+        **extra,
+        "steps": steps,
+        "fuel": fuel,
+        "bound": bound,
+        "bound_ratio": round(ratio, 6) if ratio is not None else None,
+        "worker": meta["worker"],
+        "retries": meta["retries"],
+        "degraded": meta["degraded"],
+    }
 
 
 def _attach_trace(tasks: Sequence[dict], span) -> None:
@@ -262,25 +286,12 @@ def execute_sharded_term(
         parts.append(
             Relation.from_tuples(reply["arity"], reply["tuples"])
         )
-        bound = cost.bound(stats[index]) if cost is not None else None
-        ratio = bound_ratio(steps, bound)
         rows.append(
-            {
-                "shard": index,
-                "input_tuples": _shard_input_tuples(
-                    shards[index], partitioned
-                ),
-                "output_tuples": len(reply["tuples"]),
-                "steps": steps,
-                "fuel": fuels[index],
-                "bound": bound,
-                "bound_ratio": (
-                    round(ratio, 6) if ratio is not None else None
-                ),
-                "worker": reply["_meta"]["worker"],
-                "retries": reply["_meta"]["retries"],
-                "degraded": reply["_meta"]["degraded"],
-            }
+            _shard_row(
+                index, shards[index], partitioned, steps, fuels[index],
+                cost.bound(stats[index]) if cost is not None else None,
+                reply["_meta"], output_tuples=len(reply["tuples"]),
+            )
         )
     with tracer.span("shard.merge", parts=len(parts)) as span:
         merged = merge_relations(parts, arity=arity)
@@ -301,129 +312,105 @@ def execute_sharded_fixpoint(
     policy: ShardPolicy,
     plan: DistributionPlan,
     fixpoint: FixpointQuery,
+    engine: str,
     database: Database,
     db_digest: str,
     cost: Optional[CostProfile],
     max_depth: int,
 ) -> ShardOutcome:
-    """Run the stage loop with each stage's step fanned over the shards.
+    """Run the compiled stage loop with each stage fanned over the shards.
 
-    Per stage: evaluate ``effective_step`` over every shard database with
-    the current (global) stage relation bound to ``__FIX__``, merge the
-    shard outputs, and stop when the merged stage repeats — the same
-    convergence rule :func:`repro.eval.ptime.run_fixpoint_query` applies,
-    here checked on the canonical merged relation.  The stage count is
-    capped at the Crank length ``|D|^k`` (Section 4), which bounds even
-    non-inflationary, non-monotone steps.
+    :func:`~repro.compile.fixpoint.run_fixpoint_query_compiled` owns the
+    input check, the crank, convergence and the ``D^k`` order; this
+    hands it a step that ships the current (global) stage to every shard
+    as ``__FIX__``, evaluates ``effective_step`` there on ``engine``
+    (set stages for ``"ra"``, NBE-materialized stages for
+    ``"fixpoint"``), and merges the shard outputs.  The stage barrier is
+    what makes broadcasting the fixpoint variable sound.
     """
+    # TLI024 before the partitioner meets a missing input (the loop
+    # repeats the check before its first stage).
+    fixpoint.input_database(database)
     arity = fixpoint.output_arity
     shards, partitioned, keys = _partition(
         database, db_digest, policy, plan, tracer
     )
-    step = fixpoint.effective_step()
-    crank_length = len(database.active_domain()) ** arity
-    stage = Relation.empty(arity)
-    per_shard_steps: Dict[int, int] = {i: 0 for i in range(policy.shards)}
-    per_shard_retries: Dict[int, int] = {i: 0 for i in range(policy.shards)}
-    per_shard_degraded: Dict[int, bool] = {
-        i: False for i in range(policy.shards)
-    }
-    total_steps = 0
-    stages_run = 0
+    expr = fixpoint.effective_step()
+    shard_steps = [0] * policy.shards
+    shard_meta = [
+        {"worker": index % pool.size, "retries": 0, "degraded": False}
+        for index in range(policy.shards)
+    ]
+    first_stage = True
     start = time.perf_counter()
     with tracer.span(
-        "shard.evaluate", engine="fixpoint", tasks=policy.shards
+        "shard.evaluate", engine=engine, tasks=policy.shards
     ) as span:
-        for stage_index in range(crank_length):
+
+        def fan_out(stage: Relation) -> Tuple[Relation, int]:
+            nonlocal first_stage
             tasks = [
                 {
                     "kind": "ra",
+                    "engine": engine,
                     "db_digest": keys[index],
                     "database": shards[index],
-                    "expr": step,
-                    "fix_name": FIX_NAME,
+                    "expr": expr,
                     "fix_tuples": stage.tuples,
                     "fix_arity": arity,
                     "max_depth": max_depth,
                 }
                 for index in range(policy.shards)
             ]
-            if stage_index == 0:
+            if first_stage:
                 # Only the first stage ships trace context: per-shard
                 # worker spans for every stage would blow the span volume
                 # up linearly in the crank length, and stage 0 already
                 # shows the cold/warm snapshot split.
                 _attach_trace(tasks, span)
-            replies = pool.run_batch(
-                tasks, timeout_s=policy.task_timeout_s
-            )
+                first_stage = False
+            replies = pool.run_batch(tasks, timeout_s=policy.task_timeout_s)
             _graft_worker_spans(tracer, span, replies)
             parts: List[Relation] = []
+            stage_steps = 0
             for index, reply in enumerate(replies):
                 _check_reply(reply, index)
                 steps = int(reply.get("steps") or 0)
-                per_shard_steps[index] += steps
-                total_steps += steps
-                per_shard_retries[index] += reply["_meta"]["retries"]
-                per_shard_degraded[index] |= reply["_meta"]["degraded"]
+                shard_steps[index] += steps
+                stage_steps += steps
+                shard_meta[index]["retries"] += reply["_meta"]["retries"]
+                shard_meta[index]["degraded"] |= reply["_meta"]["degraded"]
                 parts.append(
                     Relation.from_tuples(reply["arity"], reply["tuples"])
                 )
-            merged = merge_relations(parts, arity=arity)
-            stages_run += 1
-            if merged == stage:
-                break
-            stage = merged
-        span.set_attr("stages", stages_run)
-        span.set_attr("steps", total_steps)
+            return merge_relations(parts, arity=arity), stage_steps
+
+        run = run_fixpoint_query_compiled(fixpoint, database, step=fan_out)
+        span.set_attr("stages", run.stages)
+        span.set_attr("steps", run.nbe_steps)
         span.set_attr(
-            "degraded", sum(1 for d in per_shard_degraded.values() if d)
+            "degraded", sum(meta["degraded"] for meta in shard_meta)
         )
         span.set_attr("wall_ms", round(
             (time.perf_counter() - start) * 1000.0, 3
         ))
-        _synthesize_respawns(
-            tracer,
-            span,
-            {
-                index: {
-                    "retries": per_shard_retries[index],
-                    "degraded": per_shard_degraded[index],
-                }
-                for index in range(policy.shards)
-            },
-        )
-    rows: List[dict] = []
-    for index in range(policy.shards):
-        bound = (
+        _synthesize_respawns(tracer, span, dict(enumerate(shard_meta)))
+    rows = [
+        _shard_row(
+            index, shards[index], partitioned, shard_steps[index], None,
             cost.bound(DatabaseStats.of(shards[index]))
             if cost is not None
-            else None
+            else None,
+            shard_meta[index],
         )
-        ratio = bound_ratio(per_shard_steps[index], bound)
-        rows.append(
-            {
-                "shard": index,
-                "input_tuples": _shard_input_tuples(
-                    shards[index], partitioned
-                ),
-                "steps": per_shard_steps[index],
-                "fuel": None,
-                "bound": bound,
-                "bound_ratio": (
-                    round(ratio, 6) if ratio is not None else None
-                ),
-                "worker": index % pool.size,
-                "retries": per_shard_retries[index],
-                "degraded": per_shard_degraded[index],
-            }
-        )
+        for index in range(policy.shards)
+    ]
     with tracer.span("shard.merge", parts=policy.shards) as span:
-        span.set_attr("tuples", len(stage))
+        span.set_attr("tuples", len(run.relation))
     return ShardOutcome(
-        relation=stage,
-        steps=total_steps,
-        stages=stages_run,
+        relation=run.relation,
+        steps=run.nbe_steps,
+        stages=run.stages,
         partitioned=partitioned,
         shard_rows=rows,
     )

@@ -88,6 +88,7 @@ from repro.relalg.ast import (
     RAExpr,
     Select,
     Union,
+    nodes,
 )
 
 #: Distribution modes.
@@ -152,21 +153,12 @@ class DistributionPlan:
 # Relational-algebra level (fixpoint steps)
 # ---------------------------------------------------------------------------
 
-def _ra_mentions(expr: RAExpr) -> FrozenSet[str]:
-    if isinstance(expr, Base):
-        return frozenset((expr.name,))
-    if isinstance(expr, (Union, Intersection, Difference, Product)):
-        return _ra_mentions(expr.left) | _ra_mentions(expr.right)
-    if isinstance(expr, Project):
-        return _ra_mentions(expr.inner)
-    if isinstance(expr, Select):
-        return _ra_mentions(expr.inner)
-    raise TypeError(f"not an RA expression: {expr!r}")
-
-
 def _ra_touches(expr: RAExpr, pset: FrozenSet[str]) -> bool:
     """Does ``expr`` depend on how a ``pset`` member is sharded?"""
-    for name in _ra_mentions(expr):
+    for node in nodes(expr):
+        if not isinstance(node, Base):
+            continue
+        name = node.name
         if name in pset:
             return True
         if name == ADOM_NAME and pset:

@@ -8,7 +8,16 @@ unbounded cache would grow with the update stream); the coordinator
 mirrors each worker's cache and re-ships a snapshot the worker has
 evicted.  Snapshots are plain relations: a worker encodes a relation
 (Definition 3.1) only when a task reduces over it — a reduction engine,
-or ``"ra"``'s per-shard NBE fallback — and then once per snapshot.
+``"ra"``'s per-shard NBE fallback, or a ``"fixpoint"`` stage — and then
+once per snapshot.
+
+An ``ra`` task is one fixpoint stage of a sharded Theorem 5.2 loop: the
+step over the snapshot, with the broadcast stage bound to ``__FIX__``.
+It runs on the request's engine: ``"ra"`` runs the same set stage as the
+in-process loop (:func:`repro.compile.fixpoint.set_stage`, counting set
+ops), ``"fixpoint"`` materializes the stage through NBE
+(:func:`repro.eval.materialize.run_ra_query_materialized`, counting
+reduction steps).
 
 Reliability model:
 
@@ -145,8 +154,9 @@ def execute_task(task: dict, cache: Optional["OrderedDict"] = None) -> dict:
     """Execute one shard task; never raises — errors become replies.
 
     Kinds: ``ping`` (health check), ``db`` (preload a snapshot), ``term``
-    (evaluate a term plan over a snapshot), ``ra`` (evaluate an RA step,
-    optionally with the broadcast fixpoint stage bound to ``fix_name``).
+    (evaluate a term plan over a snapshot), ``ra`` (one fixpoint stage:
+    the RA step over a snapshot with the broadcast stage bound to
+    ``__FIX__``, on the task's engine).
     """
     if cache is None:
         cache = OrderedDict()
@@ -212,8 +222,11 @@ def execute_task(task: dict, cache: Optional["OrderedDict"] = None) -> dict:
                 recorder,
             )
         if kind == "ra":
+            from repro.compile.fixpoint import set_stage
             from repro.eval.materialize import run_ra_query_materialized
+            from repro.queries.fixpoint import FIX_NAME
 
+            engine = task.get("engine", "fixpoint")
             with recorder.span(
                 "worker.task", kind="ra", shard=shard_index,
                 pid=os.getpid(),
@@ -226,27 +239,30 @@ def execute_task(task: dict, cache: Optional["OrderedDict"] = None) -> dict:
                     ),
                 ):
                     database = _resolve_database(task, cache)
-                fix_tuples = task.get("fix_tuples")
-                if fix_tuples is not None:
-                    database = database.with_relation(
-                        task["fix_name"],
-                        Relation.from_tuples(task["fix_arity"], fix_tuples),
-                    )
+                stage = Relation.from_tuples(
+                    task["fix_arity"], task["fix_tuples"]
+                )
                 with recorder.span(
-                    "worker.evaluate", engine="ra"
+                    "worker.evaluate", engine=engine
                 ) as span:
-                    run = run_ra_query_materialized(
-                        task["expr"],
-                        database,
-                        max_depth=task.get("max_depth", 600_000),
-                    )
-                    span.set_attr("steps", run.steps)
+                    if engine == "ra":
+                        relation, steps = set_stage(
+                            task["expr"], database, stage
+                        )
+                    else:
+                        run = run_ra_query_materialized(
+                            task["expr"],
+                            database.with_relation(FIX_NAME, stage),
+                            max_depth=task.get("max_depth", 600_000),
+                        )
+                        relation, steps = run.relation, run.steps
+                    span.set_attr("steps", steps)
             return _attach_spans(
                 {
                     "ok": True,
-                    "tuples": run.relation.tuples,
-                    "arity": run.relation.arity,
-                    "steps": run.steps,
+                    "tuples": relation.tuples,
+                    "arity": relation.arity,
+                    "steps": steps,
                 },
                 recorder,
             )

@@ -267,6 +267,40 @@ class TestExecute:
         assert response.status == "error"
         assert "fixpoint" in response.error
 
+    @pytest.mark.parametrize("engine", ["nbe", "smallstep", "applicative"])
+    def test_inline_fixpoint_spec_on_term_engine_is_an_error(self, engine):
+        """An inline spec has no compiled tower for a term engine to
+        reduce: the request gets an error response naming the engines
+        that run it."""
+        graph = Database.of({"E": chain_graph_relation(3)})
+        query = transitive_closure_query("E")
+        with QueryService() as service:
+            response = service.execute(
+                QueryRequest(query=query, database=graph, engine=engine)
+            )
+            assert response.status == "error"
+            assert "'fixpoint'" in response.error
+            assert "'ra'" in response.error
+            for own in ("fixpoint", "ra"):
+                assert service.execute(
+                    QueryRequest(query=query, database=graph, engine=own)
+                ).ok
+
+    def test_registered_fixpoint_keeps_its_tower_on_term_engines(self):
+        with QueryService() as service:
+            service.catalog.register_database(
+                "graph", Database.of({"E": chain_graph_relation(3)})
+            )
+            service.catalog.register_query("tc", transitive_closure_query())
+            # The tower reaches NBE (and runs out of the small budget)
+            # instead of being rejected.
+            response = service.execute(
+                QueryRequest(
+                    query="tc", database="graph", engine="nbe", fuel=500
+                )
+            )
+            assert response.status == "fuel_exhausted"
+
     def test_update_database_invalidates(self, service):
         first = service.execute(QueryRequest(query="swap", database="main"))
         new_db = Database.of(

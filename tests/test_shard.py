@@ -674,3 +674,151 @@ class TestTimeoutPoolReuse:
             pool = service._timeout_pool
             assert pool is not None
         assert pool._shutdown
+
+
+def shuffled_graph(nodes, out_degree, seed):
+    """A directed graph over ``o1..on`` with ``out_degree`` edges per
+    node, listed in a shuffled order (so domain order != sorted order)."""
+    import random
+
+    rng = random.Random(seed)
+    names = [f"o{i + 1}" for i in range(nodes)]
+    edges = [
+        (source, target)
+        for source in names
+        for target in rng.sample([n for n in names if n != source],
+                                 out_degree)
+    ]
+    rng.shuffle(edges)
+    return Relation.from_tuples(2, edges)
+
+
+@pytest.fixture(scope="module")
+def fixpoint_service():
+    from repro.queries.fixpoint import reachability_query
+
+    graph = shuffled_graph(7, 2, seed=3)
+    # sg's stages cost the NBE stage evaluator a 3-way product each.
+    up, down = shuffled_graph(4, 1, seed=3), shuffled_graph(4, 1, seed=4)
+    catalog = Catalog()
+    catalog.register_query("tc", transitive_closure_query("E"))
+    catalog.register_query("reach", reachability_query("S", "E"))
+    catalog.register_query("sg", same_generation_query())
+    catalog.register_database("tc", Database.of({"E": graph}))
+    catalog.register_database(
+        "reach",
+        Database.of({"S": Relation.unary(["o5"]), "E": graph}),
+    )
+    catalog.register_database(
+        "sg",
+        Database.of({
+            "flat": Relation.from_tuples(2, down.tuples[:2]),
+            "up": up,
+            "down": down,
+        }),
+    )
+    service = QueryService(catalog)
+    yield service
+    service.close()
+
+
+class TestShardedFixpointContract:
+    """Sharded fixpoints run the compiled stage loop with a fan-out step,
+    so they keep Theorem 5.2's contract: the unsharded tuple order, the
+    same stages, and the loop's input check."""
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    @pytest.mark.parametrize("name", ["tc", "reach", "sg"])
+    def test_sharded_ra_matches_unsharded_engines(
+        self, fixpoint_service, name, shards
+    ):
+        def run(**extra):
+            response = fixpoint_service.execute(
+                QueryRequest(query=name, database=name, **extra)
+            )
+            assert response.ok, response.error
+            return response
+
+        local_ra = run(engine="ra")
+        local_fixpoint = run(engine="fixpoint")
+        sharded = run(engine="ra", shards=shards)
+        assert sharded.engine == "ra"
+        rows = sharded.profile["shard"]["rows"]
+        assert len(rows) == shards
+        assert sharded.relation.tuples == local_ra.relation.tuples
+        assert sharded.relation.tuples == local_fixpoint.relation.tuples
+        assert sharded.stages == local_ra.stages == local_fixpoint.stages
+        # The shards' summed set ops plus the |D|^k sweep.
+        entry = fixpoint_service.catalog.get_query(name)
+        inputs = entry.fixpoint.input_database(
+            fixpoint_service.catalog.get_database(name).database
+        )
+        sweep = len(inputs.active_domain()) ** entry.output_arity
+        assert sharded.steps == sum(row["steps"] for row in rows) + sweep
+
+    def test_sharded_fixpoint_engine_keeps_the_order(self, fixpoint_service):
+        local = fixpoint_service.execute(
+            QueryRequest(query="tc", database="tc", engine="fixpoint")
+        )
+        sharded = fixpoint_service.execute(
+            QueryRequest(
+                query="tc", database="tc", engine="fixpoint", shards=2
+            )
+        )
+        assert sharded.ok and sharded.engine == "fixpoint"
+        assert sharded.relation.tuples == local.relation.tuples
+        assert sharded.stages == local.stages
+
+    def test_ra_stage_runs_no_nbe(self, monkeypatch):
+        import repro.eval.materialize as materialize
+        from repro.relalg.engine import evaluate_ra
+
+        def no_nbe(*args, **kwargs):
+            raise AssertionError("an ra stage ran NBE materialization")
+
+        monkeypatch.setattr(
+            materialize, "run_ra_query_materialized", no_nbe
+        )
+        step = transitive_closure_query("E").effective_step()
+        database = Database.of({"E": shuffled_graph(5, 2, seed=1)})
+        stage = Relation.from_tuples(2, database["E"].tuples[:4])
+        reply = execute_task(
+            {
+                "kind": "ra",
+                "engine": "ra",
+                "database": database,
+                "expr": step,
+                "fix_tuples": stage.tuples,
+                "fix_arity": 2,
+            }
+        )
+        assert reply["ok"], reply
+        expected = evaluate_ra(step, database.with_relation(FIX_NAME, stage))
+        assert reply["tuples"] == expected.tuples
+        assert reply["steps"] == len(expected) + len(stage)
+
+    def test_missing_input_is_tli024_before_fan_out(self):
+        from repro.errors import SchemaError
+        from repro.obs.tracing import Tracer
+        from repro.shard.executor import execute_sharded_fixpoint
+
+        class UnusedPool:
+            size = 2
+
+            def run_batch(self, tasks, **kwargs):
+                raise AssertionError("fanned out before the input check")
+
+        query = transitive_closure_query("E")
+        with pytest.raises(SchemaError, match="TLI024"):
+            execute_sharded_fixpoint(
+                pool=UnusedPool(),
+                tracer=Tracer(enabled=False),
+                policy=PolicyClass(shards=2),
+                plan=plan_distribution(query),
+                fixpoint=query,
+                engine="ra",
+                database=Database.of({"F": shuffled_graph(4, 1, seed=2)}),
+                db_digest="no-e",
+                cost=None,
+                max_depth=10_000,
+            )
