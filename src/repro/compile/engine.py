@@ -17,7 +17,6 @@ it (:func:`repro.service.engines.relation_term`).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -28,6 +27,7 @@ from repro.compile.planner import plan as plan_physical
 from repro.db.decode import DecodedRelation
 from repro.db.relations import Database, Relation
 from repro.lam.terms import Term, digest
+from repro.lru import BoundedLRU
 from repro.queries.fixpoint import FixpointQuery
 
 #: Static plan-tree depth beyond which execution is refused: the
@@ -124,12 +124,12 @@ def _depth(node: Node) -> int:
     return 1 + max(_depth(child) for child in children)
 
 
-_CACHE_CAP = 256
-_cache: Dict[
+#: Outcomes by (plan digest, input arities, output arity): the 256 most
+#: recently used plans and fallbacks.
+_cache: BoundedLRU[
     Tuple[str, Tuple[int, ...], int],
     "CompiledTermPlan | CompileFallback",
-] = {}
-_cache_lock = threading.Lock()
+] = BoundedLRU(256)
 
 
 def compile_term_plan(
@@ -142,8 +142,7 @@ def compile_term_plan(
     falls outside the liftable grammar.
     """
     key = (digest(term), tuple(input_arities), output_arity)
-    with _cache_lock:
-        cached = _cache.get(key)
+    cached = _cache.get(key)
     if cached is not None:
         if isinstance(cached, CompileFallback):
             raise cached
@@ -164,10 +163,7 @@ def compile_term_plan(
         outcome: "CompiledTermPlan | CompileFallback" = compiled
     except LoweringError as exc:
         outcome = CompileFallback(exc.reason, exc.detail)
-    with _cache_lock:
-        if len(_cache) >= _CACHE_CAP:
-            _cache.clear()
-        _cache[key] = outcome
+    _cache.put(key, outcome)
     if isinstance(outcome, CompileFallback):
         raise outcome
     return outcome

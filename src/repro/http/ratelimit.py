@@ -6,20 +6,21 @@ costs one token; an empty bucket is a 429 with a ``Retry-After`` derived
 from the actual deficit, so well-behaved clients back off exactly as
 long as needed.
 
-Buckets live in a small LRU (an open edge sees arbitrarily many peer
-addresses; the map must not grow without bound).  Evicting a cold bucket
-forgets at most ``burst`` tokens of credit — safe, never unfair to hot
-clients.  All state is guarded by one lock; the edge calls this from a
-single event loop, but the lock keeps the class safe for threaded tests
-and future multi-loop setups.
+Buckets live in a :class:`repro.lru.BoundedLRU` (an open edge sees
+arbitrarily many peer addresses; the map must not grow without bound).
+Evicting a cold bucket forgets at most ``burst`` tokens of credit — safe,
+never unfair to hot clients.  One lock makes each refill-and-spend
+atomic; the edge calls this from a single event loop, but the lock keeps
+the class safe for threaded tests and future multi-loop setups.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from typing import Optional, Tuple
+
+from repro.lru import BoundedLRU
 
 __all__ = ["RateLimiter"]
 
@@ -40,10 +41,11 @@ class RateLimiter:
     ) -> None:
         self._rate = float(rate)
         self._burst = float(max(1, burst))
-        self._max_buckets = max_buckets
         self._clock = clock
         # principal -> (tokens, last refill timestamp)
-        self._buckets: "OrderedDict[str, Tuple[float, float]]" = OrderedDict()
+        self._buckets: BoundedLRU[str, Tuple[float, float]] = BoundedLRU(
+            max_buckets
+        )
         self._lock = threading.Lock()
 
     @property
@@ -57,18 +59,10 @@ class RateLimiter:
             return True, None
         now = self._clock()
         with self._lock:
-            tokens, last = self._buckets.get(principal, (self._burst, now))
+            tokens, last = self._buckets.get(principal) or (self._burst, now)
             tokens = min(self._burst, tokens + (now - last) * self._rate)
             if tokens >= 1.0:
-                self._buckets[principal] = (tokens - 1.0, now)
-                self._buckets.move_to_end(principal)
-                self._evict()
+                self._buckets.put(principal, (tokens - 1.0, now))
                 return True, None
-            self._buckets[principal] = (tokens, now)
-            self._buckets.move_to_end(principal)
-            self._evict()
+            self._buckets.put(principal, (tokens, now))
             return False, (1.0 - tokens) / self._rate
-
-    def _evict(self) -> None:
-        while len(self._buckets) > self._max_buckets:
-            self._buckets.popitem(last=False)

@@ -8,7 +8,7 @@ variable) are alpha-renamed on the way down.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple
+from typing import Callable, Dict, FrozenSet, Mapping, Set, Tuple
 
 from repro.lam.terms import (
     Abs,
@@ -18,10 +18,11 @@ from repro.lam.terms import (
     Let,
     Term,
     Var,
-    all_vars,
     free_vars,
 )
 from repro.naming import NameSupply
+
+FreeVars = Callable[[Term], FrozenSet[str]]
 
 
 def substitute(term: Term, var: str, payload: Term) -> Term:
@@ -42,35 +43,89 @@ def substitute_many(term: Term, bindings: Mapping[str, Term]) -> Term:
     }
     if not live:
         return term
-    supply = NameSupply(all_vars(term))
+    fv = _memo_free_vars()
+    supply = NameSupply(fv(term) | _binder_names(term))
     for payload in live.values():
-        supply.avoid(free_vars(payload))
-    return _subst(term, live, supply)
+        supply.avoid(fv(payload))
+    return _subst(term, live, supply, fv)
 
 
-def _subst(term: Term, bindings: Dict[str, Term], supply: NameSupply) -> Term:
+def _memo_free_vars() -> FreeVars:
+    """:func:`free_vars` memoized by node identity for one substitution,
+    so a subterm shared k ways is walked once, not k times.  Each entry
+    pins its node: substitution allocates nodes mid-walk, and a freed
+    node's ``id`` could otherwise come back on a new one."""
+    memo: Dict[int, Tuple[Term, FrozenSet[str]]] = {}
+
+    def fv(term: Term) -> FrozenSet[str]:
+        entry = memo.get(id(term))
+        if entry is not None:
+            return entry[1]
+        if isinstance(term, Var):
+            names = frozenset((term.name,))
+        elif isinstance(term, (Const, EqConst)):
+            names = frozenset()
+        elif isinstance(term, Abs):
+            names = fv(term.body) - {term.var}
+        elif isinstance(term, App):
+            names = fv(term.fn) | fv(term.arg)
+        elif isinstance(term, Let):
+            names = fv(term.bound) | (fv(term.body) - {term.var})
+        else:
+            raise TypeError(f"not a term: {term!r}")
+        memo[id(term)] = (term, names)
+        return names
+
+    return fv
+
+
+def _binder_names(term: Term) -> Set[str]:
+    """The variables bound anywhere in ``term``, one visit per distinct
+    node."""
+    names: Set[str] = set()
+    seen: Set[int] = set()
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, Abs):
+            names.add(node.var)
+            stack.append(node.body)
+        elif isinstance(node, App):
+            stack += (node.fn, node.arg)
+        elif isinstance(node, Let):
+            names.add(node.var)
+            stack += (node.bound, node.body)
+    return names
+
+
+def _subst(
+    term: Term, bindings: Dict[str, Term], supply: NameSupply, fv: FreeVars
+) -> Term:
     if isinstance(term, Var):
         return bindings.get(term.name, term)
     if isinstance(term, (Const, EqConst)):
         return term
-    if not (free_vars(term) & bindings.keys()):
+    if not (fv(term) & bindings.keys()):
         return term
     if isinstance(term, App):
         return App(
-            _subst(term.fn, bindings, supply),
-            _subst(term.arg, bindings, supply),
+            _subst(term.fn, bindings, supply, fv),
+            _subst(term.arg, bindings, supply, fv),
         )
     if isinstance(term, Abs):
         var, body, live = _enter_binder(
-            term.var, term.body, bindings, supply
+            term.var, term.body, bindings, supply, fv
         )
-        return Abs(var, _subst(body, live, supply), term.annotation)
+        return Abs(var, _subst(body, live, supply, fv), term.annotation)
     if isinstance(term, Let):
-        bound = _subst(term.bound, bindings, supply)
+        bound = _subst(term.bound, bindings, supply, fv)
         var, body, live = _enter_binder(
-            term.var, term.body, bindings, supply
+            term.var, term.body, bindings, supply, fv
         )
-        return Let(var, bound, _subst(body, live, supply))
+        return Let(var, bound, _subst(body, live, supply, fv))
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -79,6 +134,7 @@ def _enter_binder(
     body: Term,
     bindings: Dict[str, Term],
     supply: NameSupply,
+    fv: FreeVars,
 ) -> Tuple[str, Term, Dict[str, Term]]:
     """Prepare to substitute under a binder for ``var``.
 
@@ -87,16 +143,16 @@ def _enter_binder(
     substituted into ``body``.  Returns the (possibly renamed) binder, the
     (possibly renamed) body, and the bindings still live under the binder.
     """
-    body_free = free_vars(body)
+    body_free = fv(body)
     live = {
         name: payload
         for name, payload in bindings.items()
         if name != var and name in body_free
     }
-    captured = any(var in free_vars(payload) for payload in live.values())
+    captured = any(var in fv(payload) for payload in live.values())
     if captured:
         fresh = supply.fresh(var)
-        body = _subst(body, {var: Var(fresh)}, supply)
+        body = _subst(body, {var: Var(fresh)}, supply, fv)
         var = fresh
     return var, body, live
 

@@ -34,6 +34,8 @@ from typing import (
     Tuple,
 )
 
+from repro.lru import BoundedLRU
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.types.types import Type
 
@@ -294,10 +296,9 @@ def contains_let(term: Term) -> bool:
 # are O(1).
 
 #: Memo table ``id(term) -> (term, digest)``.  The strong reference keeps
-#: the id stable for the lifetime of the entry; bounded FIFO eviction keeps
-#: the table from growing without limit.
-_DIGEST_CACHE: Dict[int, Tuple[Term, str]] = {}
-_DIGEST_CACHE_MAX = 8192
+#: the id stable for the lifetime of the entry; the 8192 most recently used
+#: entries are kept.
+_DIGEST_CACHE: BoundedLRU[int, Tuple[Term, str]] = BoundedLRU(8192)
 
 
 def digest(term: Term) -> str:
@@ -363,9 +364,7 @@ def digest(term: Term) -> str:
         else:
             raise TypeError(f"not a term: {node!r}")
     result = hashlib.sha256(b"".join(parts)).hexdigest()
-    if len(_DIGEST_CACHE) >= _DIGEST_CACHE_MAX:
-        _DIGEST_CACHE.pop(next(iter(_DIGEST_CACHE)))
-    _DIGEST_CACHE[id(term)] = (term, result)
+    _DIGEST_CACHE.put(id(term), (term, result))
     return result
 
 

@@ -21,9 +21,12 @@ decided per report:
   (the certifier's model is close to wrong for this plan);
 * ``slow`` — among the slowest ``slowest`` requests seen so far.
 
-Records evict LRU at ``capacity`` and are retrievable by trace id
-(``GET /debug/flight?trace_id=...``, ``repro flight``).  Everything
-is stdlib and thread-safe; one lock guards both maps.
+Both maps are :class:`repro.lru.BoundedLRU` instances.  Records evict
+LRU at ``capacity`` and are retrievable by trace id (``GET
+/debug/flight?trace_id=...``, ``repro flight``); a lookup counts as
+use.  Everything is stdlib and thread-safe: each map carries its own
+lock, and the recorder's lock makes export, admission and ``clear``
+atomic across both maps and the slow-cohort heap.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ import heapq
 import itertools
 import threading
 import time
-from collections import OrderedDict
 from typing import Dict, List, Optional
+
+from repro.lru import BoundedLRU
 
 __all__ = ["FlightRecorder"]
 
@@ -55,10 +59,12 @@ class FlightRecorder:
         self.pending_traces = max(1, int(pending_traces))
         self._lock = threading.Lock()
         #: trace_id -> list of finished span dicts not yet claimed by a
-        #: report (bounded; oldest trace dropped first).
-        self._pending: "OrderedDict[str, List[dict]]" = OrderedDict()
-        #: trace_id -> admitted report (bounded LRU).
-        self._records: "OrderedDict[str, dict]" = OrderedDict()
+        #: report (least recently used trace dropped first).
+        self._pending: BoundedLRU[str, List[dict]] = BoundedLRU(
+            self.pending_traces
+        )
+        #: trace_id -> admitted report.
+        self._records: BoundedLRU[str, dict] = BoundedLRU(self.capacity)
         #: min-heap of (wall_ms, seq) for the current slowest-N cohort.
         self._slow_heap: List[tuple] = []
         self._seq = itertools.count()
@@ -76,9 +82,8 @@ class FlightRecorder:
         with self._lock:
             bucket = self._pending.get(trace_id)
             if bucket is None:
-                while len(self._pending) >= self.pending_traces:
-                    self._pending.popitem(last=False)
-                bucket = self._pending[trace_id] = []
+                bucket = []
+                self._pending.put(trace_id, bucket)
             bucket.append(data)
 
     # -- report admission ---------------------------------------------------
@@ -91,9 +96,7 @@ class FlightRecorder:
         """
         trace_id = report.get("trace_id")
         with self._lock:
-            spans = (
-                self._pending.pop(trace_id, None) if trace_id else None
-            )
+            spans = self._pending.pop(trace_id) if trace_id else None
             reasons = self._admission_reasons(report)
             if not reasons:
                 self._rejected += 1
@@ -104,12 +107,7 @@ class FlightRecorder:
             report["reasons"] = reasons
             report.setdefault("recorded_unix", round(time.time(), 3))
             self._admitted += 1
-            key = trace_id or f"anon-{next(self._seq)}"
-            if key in self._records:
-                self._records.pop(key)
-            self._records[key] = report
-            while len(self._records) > self.capacity:
-                self._records.popitem(last=False)
+            self._records.put(trace_id or f"anon-{next(self._seq)}", report)
             return True
 
     def _admission_reasons(self, report: dict) -> List[str]:
@@ -136,18 +134,16 @@ class FlightRecorder:
     # -- retrieval ----------------------------------------------------------
 
     def lookup(self, trace_id: str) -> Optional[dict]:
-        with self._lock:
-            return self._records.get(trace_id)
+        return self._records.get(trace_id)
 
     def records(
         self, *, trace_id: Optional[str] = None, limit: Optional[int] = None
     ) -> List[dict]:
         """Retained reports, most recent first (filtered by trace id)."""
-        with self._lock:
-            if trace_id is not None:
-                record = self._records.get(trace_id)
-                return [record] if record is not None else []
-            items = list(reversed(self._records.values()))
+        if trace_id is not None:
+            record = self._records.get(trace_id)
+            return [record] if record is not None else []
+        items = self._records.values()[::-1]
         if limit is not None:
             items = items[: max(0, int(limit))]
         return items
@@ -171,5 +167,4 @@ class FlightRecorder:
             self._slow_heap.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+        return len(self._records)

@@ -7,42 +7,39 @@ Section 2.1), so caching is sound with a key of
     (query digest, database name, version key, engine)
 
 where the query digest is the alpha-invariant content digest of
-:func:`repro.lam.terms.digest`.  The *version key* comes in two shapes:
-
-* a plain ``int`` — the database's global version (legacy whole-version
-  keying, still used for plans without a provenance certificate);
-* a tuple of ``(relation_name, relation_version)`` pairs — the plan's
-  read-set **sub-vector** of the catalog's per-relation version vector.
-  The result is a pure function of the relations the plan reads
-  (TLI023), so the key stays valid across updates that bump only other
-  relations — those hits are counted as ``provenance_saves``.  The
-  wildcard pair ``("*", global_version)`` marks a non-exact read-set
-  (TLI027): any relation bump invalidates it, i.e. exactly the legacy
-  behavior.
+:func:`repro.lam.terms.digest`.  The *version key* is a tuple of
+``(relation_name, relation_version)`` pairs: the plan's read-set
+**sub-vector** of the catalog's per-relation version vector.  The result
+is a pure function of the relations the plan reads (TLI023), so the key
+stays valid across updates that bump only other relations — those hits
+are counted as ``provenance_saves``.  A plan without an exact read-set
+(no provenance certificate, or a non-exact one, TLI027) gets the
+wildcard vector ``(("*", global_version),)``: any relation bump
+invalidates it, and it never hits across versions.
 
 Only *successful* evaluations are cached — a ``FuelExhausted`` under one
 budget says nothing about larger budgets — so fuel and depth budgets are
 deliberately not part of the key: any budget that reached the normal form
 reached *the* normal form.
 
-The cache is a bounded LRU, safe for concurrent use by the batch executor.
+Entries live in a :class:`repro.lru.BoundedLRU`, safe for concurrent use
+by the batch executor.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple
 
 from repro.db.decode import DecodedRelation
 from repro.db.relations import Relation
 from repro.lam.terms import Term
+from repro.lru import BoundedLRU
 
-#: Either the database's global version or the read-set's
-#: ``((relation_name, relation_version), ...)`` sub-vector (sorted;
-#: ``("*", v)`` is the conservative wildcard).
-VersionKey = Union[int, Tuple[Tuple[str, int], ...]]
+#: The read-set's ``((relation_name, relation_version), ...)`` sub-vector
+#: (sorted; ``(("*", v),)`` is the conservative wildcard).
+VersionKey = Tuple[Tuple[str, int], ...]
 
 #: (query digest, database key, version key, engine)
 CacheKey = Tuple[str, str, VersionKey, str]
@@ -129,46 +126,18 @@ class ResultCache:
     :class:`CachedResult`."""
 
     def __init__(self, capacity: int = 256):
-        if capacity < 1:
-            raise ValueError("cache capacity must be >= 1")
-        self._capacity = capacity
-        self._data: "OrderedDict[CacheKey, CachedResult]" = OrderedDict()
+        self._data: BoundedLRU[CacheKey, CachedResult] = BoundedLRU(capacity)
+        # Guards the counters below; the entries carry their own lock.
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
         self._invalidations = 0
         self._inflight_waits = 0
         self._provenance_saves = 0
 
     def get(self, key: CacheKey) -> Optional[CachedResult]:
-        with self._lock:
-            entry = self._data.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            self._data.move_to_end(key)
-            self._hits += 1
-            return entry
+        return self._data.get(key)
 
     def put(self, key: CacheKey, value: CachedResult) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self._capacity:
-                self._data.popitem(last=False)
-                self._evictions += 1
-
-    def invalidate_database(self, database_key: str) -> int:
-        """Drop every entry for ``database_key`` (all versions); returns the
-        number of entries dropped.  Version bumps already make stale keys
-        unreachable — this eagerly frees their memory."""
-        with self._lock:
-            stale = [k for k in self._data if k[1] == database_key]
-            for k in stale:
-                del self._data[k]
-            self._invalidations += len(stale)
-            return len(stale)
+        self._data.put(key, value)
 
     def invalidate_relations(
         self, database_key: str, names: Iterable[str]
@@ -177,32 +146,20 @@ class ResultCache:
         ``database_key`` whose version key depends on a relation in
         ``names``.
 
-        Three key shapes are affected: legacy ``int`` version keys (the
-        plan has no read-set — the global version moved, so they are
-        unreachable anyway; drop them eagerly), wildcard sub-vectors
-        (TLI027 conservative top — depends on everything), and
+        Two key shapes are affected: wildcard sub-vectors (no exact
+        read-set, TLI027 conservative top — depends on everything) and
         sub-vectors naming a touched relation.  Sub-vectors over disjoint
         relations *survive*: the result provably cannot have changed.
         Returns the number of entries dropped.
         """
         touched = set(names)
+        dropped = self._data.discard_if(
+            lambda key: key[1] == database_key
+            and any(rel == WILDCARD or rel in touched for rel, _ in key[2])
+        )
         with self._lock:
-            stale = []
-            for key in self._data:
-                if key[1] != database_key:
-                    continue
-                version_key = key[2]
-                if isinstance(version_key, int):
-                    stale.append(key)
-                elif any(
-                    rel == WILDCARD or rel in touched
-                    for rel, _ in version_key
-                ):
-                    stale.append(key)
-            for key in stale:
-                del self._data[key]
-            self._invalidations += len(stale)
-            return len(stale)
+            self._invalidations += dropped
+        return dropped
 
     def count_inflight_wait(self) -> None:
         """Record one request that waited behind an identical in-flight
@@ -217,23 +174,19 @@ class ResultCache:
             self._provenance_saves += 1
 
     def clear(self) -> None:
+        dropped = self._data.clear()
         with self._lock:
-            self._invalidations += len(self._data)
-            self._data.clear()
+            self._invalidations += dropped
 
     def stats(self) -> CacheStats:
         with self._lock:
             return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
+                hits=self._data.hits,
+                misses=self._data.misses,
+                evictions=self._data.evictions,
                 invalidations=self._invalidations,
                 inflight_waits=self._inflight_waits,
                 provenance_saves=self._provenance_saves,
                 size=len(self._data),
-                capacity=self._capacity,
+                capacity=self._data.capacity,
             )
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)

@@ -278,8 +278,8 @@ class Binding:
     #: read contract (a request for the pair is rejected), else ``None``.
     contract_error: Optional[str]
     #: The cache key's version component: the read-set's sub-vector of
-    #: the per-relation version vector when the plan carries a
-    #: provenance certificate, the global version otherwise.
+    #: the per-relation version vector, or the wildcard vector at the
+    #: global version when the plan has no exact read-set.
     version_key: VersionKey
 
     @classmethod
@@ -287,8 +287,12 @@ class Binding:
         cls, query: QueryEntry, database: DatabaseEntry, engine: str
     ) -> "Binding":
         provenance = query.provenance
+        version_key = version_subvector(
+            provenance, database.database, database.versions,
+            database.version,
+        )
         if provenance is None:
-            return cls(query, database, engine, None, database.version)
+            return cls(query, database, engine, None, version_key)
         mismatches, _ = check_schema_contract(
             provenance, database_schema(database.database)
         )
@@ -298,10 +302,6 @@ class Binding:
                 f"[TLI024] query {query.name!r} does not fit database "
                 f"{database.name!r}: " + "; ".join(mismatches)
             )
-        version_key = version_subvector(
-            provenance, database.database, database.versions,
-            database.version,
-        )
         return cls(query, database, engine, error, version_key)
 
     @cached_property

@@ -61,7 +61,6 @@ import hashlib
 import logging
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import (
     CancelledError,
     ThreadPoolExecutor,
@@ -76,6 +75,7 @@ from repro.db.decode import DecodedRelation, decode_relation
 from repro.db.relations import Database, Relation
 from repro.errors import FuelExhausted, ReproError, SchemaError
 from repro.lam.terms import Term, digest
+from repro.lru import BoundedLRU
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -347,10 +347,9 @@ class QueryService:
         self._shard_workers = shard_workers
         self._shard_pool = None
         self._shard_pool_lock = threading.Lock()
-        self._plan_cache: "OrderedDict[Tuple[str, Tuple[str, ...]], object]" = (
-            OrderedDict()
-        )
-        self._plan_cache_lock = threading.Lock()
+        self._plan_cache: BoundedLRU[
+            Tuple[str, Tuple[str, ...]], object
+        ] = BoundedLRU(PLAN_CACHE_CAPACITY)
 
     def enable_flight(
         self, flight: Optional[FlightRecorder] = None
@@ -941,11 +940,9 @@ class QueryService:
         query = binding.query
         names = tuple(binding.database.database.names)
         key = (query.digest, names)
-        with self._plan_cache_lock:
-            plan = self._plan_cache.get(key)
-            if plan is not None:
-                self._plan_cache.move_to_end(key)
-                return plan
+        plan = self._plan_cache.get(key)
+        if plan is not None:
+            return plan
         try:
             if query.fixpoint is not None:
                 plan = plan_distribution(query.fixpoint)
@@ -964,11 +961,7 @@ class QueryService:
                 code=CODE_LOCAL_ONLY,
                 reason=f"distribution analysis failed: {exc}",
             )
-        with self._plan_cache_lock:
-            self._plan_cache[key] = plan
-            self._plan_cache.move_to_end(key)
-            while len(self._plan_cache) > PLAN_CACHE_CAPACITY:
-                self._plan_cache.popitem(last=False)
+        self._plan_cache.put(key, plan)
         return plan
 
     def _shard_pool_for(self, policy: ShardPolicy):

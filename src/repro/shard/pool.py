@@ -2,11 +2,13 @@
 
 One worker = one long-lived process holding a *warm snapshot cache*: shard
 databases are shipped once, keyed by digest, and later tasks reference
-them by digest only.  The cache keeps the :data:`SNAPSHOT_CACHE_SIZE`
-most recently used snapshots (every update ships new digests, so an
-unbounded cache would grow with the update stream); the coordinator
-mirrors each worker's cache and re-ships a snapshot the worker has
-evicted.  Snapshots are plain relations: a worker encodes a relation
+them by digest only.  The cache is a :class:`repro.lru.BoundedLRU` of
+the :data:`SNAPSHOT_CACHE_SIZE` most recently used snapshots (every
+update ships new digests, so an unbounded cache would grow with the
+update stream).  The coordinator mirrors each worker's cache with a
+``BoundedLRU`` of the same bound, touched in the same order, so both
+evict the same digest; it re-ships a snapshot the worker has evicted.
+Snapshots are plain relations: a worker encodes a relation
 (Definition 3.1) only when a task reduces over it — a reduction engine,
 ``"ra"``'s per-shard NBE fallback, or a ``"fixpoint"`` stage — and then
 once per snapshot.
@@ -57,11 +59,11 @@ import multiprocessing
 import os
 import threading
 import time
-from collections import OrderedDict
 from typing import Callable, Dict, List, Optional
 
 from repro.db.relations import Database, Relation
 from repro.errors import FuelExhausted, ReproError
+from repro.lru import BoundedLRU
 from repro.obs.tracing import NOOP_SPAN, SpanRecorder
 
 #: Events reported to the pool's observer callback.
@@ -128,15 +130,7 @@ def _attach_spans(reply: dict, recorder) -> dict:
     return reply
 
 
-def _remember(lru: "OrderedDict", key: str, value: object) -> None:
-    """Make ``key`` the most recent entry, evicting beyond the bound."""
-    lru[key] = value
-    lru.move_to_end(key)
-    while len(lru) > SNAPSHOT_CACHE_SIZE:
-        lru.popitem(last=False)
-
-
-def _resolve_database(task: dict, cache: "OrderedDict") -> Database:
+def _resolve_database(task: dict, cache: BoundedLRU) -> Database:
     digest = task.get("db_digest")
     database = task.get("database")
     if database is None:
@@ -146,11 +140,11 @@ def _resolve_database(task: dict, cache: "OrderedDict") -> Database:
                 f"task references unknown database snapshot {digest!r}"
             )
     if digest is not None:
-        _remember(cache, digest, database)
+        cache.put(digest, database)
     return database
 
 
-def execute_task(task: dict, cache: Optional["OrderedDict"] = None) -> dict:
+def execute_task(task: dict, cache: Optional[BoundedLRU] = None) -> dict:
     """Execute one shard task; never raises — errors become replies.
 
     Kinds: ``ping`` (health check), ``db`` (preload a snapshot), ``term``
@@ -159,7 +153,7 @@ def execute_task(task: dict, cache: Optional["OrderedDict"] = None) -> dict:
     ``__FIX__``, on the task's engine).
     """
     if cache is None:
-        cache = OrderedDict()
+        cache = BoundedLRU(SNAPSHOT_CACHE_SIZE)
     kind = task.get("kind")
     recorder = (
         _task_recorder(task) if kind in ("term", "ra") else _NOOP_RECORDER
@@ -291,7 +285,7 @@ def execute_task(task: dict, cache: Optional["OrderedDict"] = None) -> dict:
 
 def _worker_main(conn) -> None:
     """The worker process loop: recv task, execute, send reply."""
-    cache: "OrderedDict[str, Database]" = OrderedDict()
+    cache: BoundedLRU[str, Database] = BoundedLRU(SNAPSHOT_CACHE_SIZE)
     while True:
         try:
             task = conn.recv()
@@ -320,7 +314,7 @@ class _Worker:
         self.conn = conn
         # Mirrors the worker's snapshot cache: the same digests, touched
         # in the same order (one pipe, one task at a time), same bound.
-        self.seen: "OrderedDict[str, None]" = OrderedDict()
+        self.seen: BoundedLRU[str, bool] = BoundedLRU(SNAPSHOT_CACHE_SIZE)
         self.respawns = 0
 
 
@@ -554,7 +548,7 @@ class ShardWorkerPool:
                     crashed = True
                 else:
                     if digest is not None:
-                        _remember(worker.seen, digest, None)
+                        worker.seen.put(digest, True)
             if crashed:
                 retries += 1
                 if retries <= self.max_retries:

@@ -252,6 +252,17 @@ class TestFallbacks:
         second = compile_decision(term, (2,), 3)
         assert first.reason == second.reason == "constructor-arity"
 
+    def test_hot_plan_outlives_more_than_256_other_compiles(self):
+        # The memo evicts its least recently used plan: a plan looked up
+        # between every other compile is never the one to go.
+        hot = parse(SWAP)
+        compiled = compile_term_plan(hot, (2,), 2)
+        cold = parse(r"\n. n")
+        for output_arity in range(1, 300):
+            with pytest.raises(CompileFallback):
+                compile_term_plan(cold, (2, 2), output_arity)
+            assert compile_term_plan(hot, (2,), 2) is compiled
+
 
 # -- service integration -----------------------------------------------------
 

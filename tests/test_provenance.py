@@ -358,17 +358,15 @@ class TestVersionKeys:
         cache = ResultCache(capacity=16)
         survivor = ("q1", "main", (("R1", 1),), "nbe")
         doomed = ("q2", "main", (("R2", 1),), "nbe")
-        legacy = ("q3", "main", 1, "nbe")
         wildcard = ("q4", "main", ((WILDCARD, 1),), "nbe")
         other_db = ("q5", "other", (("R2", 1),), "nbe")
-        for key in (survivor, doomed, legacy, wildcard, other_db):
+        for key in (survivor, doomed, wildcard, other_db):
             cache.put(key, _cached())
         dropped = cache.invalidate_relations("main", ["R2"])
-        assert dropped == 3
+        assert dropped == 2
         assert cache.get(survivor) is not None
         assert cache.get(other_db) is not None
         assert cache.get(doomed) is None
-        assert cache.get(legacy) is None
         assert cache.get(wildcard) is None
 
 

@@ -160,16 +160,6 @@ class TestResultCache:
         stats = cache.stats()
         assert stats.evictions == 1 and stats.size == 2
 
-    def test_invalidate_database(self):
-        cache = ResultCache(capacity=8)
-        rel = Relation.from_tuples(1, [("o1",)])
-        cache.put(("q", "a", 1, "nbe"), self._entry(rel))
-        cache.put(("q", "a", 2, "nbe"), self._entry(rel))
-        cache.put(("q", "b", 1, "nbe"), self._entry(rel))
-        assert cache.invalidate_database("a") == 2
-        assert cache.get(("q", "b", 1, "nbe")) is not None
-        assert len(cache) == 1
-
     def test_hit_rate(self):
         cache = ResultCache(capacity=2)
         rel = Relation.from_tuples(1, [("o1",)])

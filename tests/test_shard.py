@@ -1,8 +1,6 @@
 """Tests for the sharded execution engine (partition, planner, pool,
 service integration)."""
 
-from collections import OrderedDict
-
 import pytest
 
 from repro.db.decode import decode_relation
@@ -11,6 +9,7 @@ from repro.db.generators import random_database, random_relation
 from repro.db.relations import Database, Relation
 from repro.errors import ReproError
 from repro.lam.parser import parse
+from repro.lru import BoundedLRU
 from repro.queries.fixpoint import (
     FIX_NAME,
     FixpointQuery,
@@ -345,9 +344,9 @@ class TestWorkerPool:
             {"kind": "db", "db_digest": f"d{i}", "database": db}
             for i, db in enumerate(snapshots)
         ]
-        cache = OrderedDict()
+        cache = BoundedLRU(SNAPSHOT_CACHE_SIZE)
         assert all(execute_task(task, cache)["ok"] for task in preload)
-        assert list(cache) == [f"d{i}" for i in range(2, len(snapshots))]
+        assert cache.keys() == [f"d{i}" for i in range(2, len(snapshots))]
         gone = execute_task({"kind": "db", "db_digest": "d0"}, cache)
         assert "unknown database snapshot" in gone["error"]
 

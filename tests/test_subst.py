@@ -1,5 +1,7 @@
 """Unit and property tests for capture-avoiding substitution."""
 
+import time
+
 from hypothesis import given
 
 from repro.lam.alpha import alpha_equal
@@ -67,6 +69,21 @@ class TestBasicSubstitution:
         result = substitute(term, "x", Const("o1"))
         # The bound expression's x is free, the body's is bound.
         assert result == Let("x", Const("o1"), Var("x"))
+
+    def test_shared_subterm_is_walked_once(self):
+        # 21 distinct nodes, 2^21 - 1 as a tree: capture avoidance reads
+        # the free variables of every subterm it enters, and walking the
+        # shared subterm as a tree takes seconds.
+        shared = Const("o1")
+        for _ in range(20):
+            shared = App(shared, shared)
+        term = Abs("y", App(shared, Var("x")))
+        start = time.perf_counter()
+        result = substitute(term, "x", Var("y"))
+        elapsed = time.perf_counter() - start
+        assert result.var == "y0"
+        assert result.body.fn is shared and result.body.arg == Var("y")
+        assert elapsed < 0.5
 
 
 class TestSimultaneousSubstitution:
