@@ -49,6 +49,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Dict, List
 
 from repro.db.decode import decode_relation
@@ -62,6 +63,7 @@ from repro.lam.pretty import pretty
 from repro.lam.reduce import Strategy, normalize
 from repro.lam.nbe import nbe_normalize
 from repro.queries.language import QueryArity, recognize_mli, recognize_tli
+from repro.service.engines import ENGINE_TABLE, ENGINES
 from repro.types.infer import infer
 from repro.types.ml import ml_infer
 from repro.types.order import ground
@@ -659,9 +661,12 @@ def cmd_stats(args) -> int:
 
 
 def _resolve_target(service, args):
-    """Resolve the CLI's QUERY/--database pair against the catalog:
-    registered names pass through, anything else parses as an inline
-    term; a lone registered database is the default."""
+    """The request the CLI's request options describe
+    (``add_request_options``), resolved against the catalog: a
+    registered QUERY name passes through, anything else parses as an
+    inline term; a lone registered database is the default."""
+    from repro.service import QueryRequest
+
     query = args.query_ref
     known_queries = {entry.name for entry in service.catalog.queries()}
     if query not in known_queries:
@@ -675,29 +680,25 @@ def _resolve_target(service, args):
                 f"registered"
             )
         database = db_names[0]
-    return query, database
+    return QueryRequest(
+        query=query,
+        database=database,
+        engine=args.engine,
+        arity=args.arity,
+        fuel=args.fuel,
+        shards=args.shards,
+    )
 
 
 def cmd_explain(args) -> int:
     """EXPLAIN ANALYZE one request: run it with the flight recorder on
     and print the report joining the static certificate side with the
     observed execution side (JSON)."""
-    from repro.service import QueryRequest
-
     service = _build_service(args)
     service.enable_flight()
     try:
-        query, database = _resolve_target(service, args)
         response = service.execute(
-            QueryRequest(
-                query=query,
-                database=database,
-                engine=args.engine,
-                arity=args.arity,
-                fuel=args.fuel,
-                shards=args.shards,
-                explain=True,
-            )
+            replace(_resolve_target(service, args), explain=True)
         )
     finally:
         service.close()
@@ -738,7 +739,6 @@ def cmd_trace(args) -> int:
         Tracer,
         render_span_tree,
     )
-    from repro.service import QueryRequest
 
     ring = RingBufferExporter()
     exporters = [ring]
@@ -750,18 +750,9 @@ def cmd_trace(args) -> int:
     service = _build_service(args, tracer=tracer)
 
     try:
-        query, database = _resolve_target(service, args)
+        request = _resolve_target(service, args)
         for _ in range(max(1, args.repeat)):
-            response = service.execute(
-                QueryRequest(
-                    query=query,
-                    database=database,
-                    engine=args.engine,
-                    arity=args.arity,
-                    fuel=args.fuel,
-                    shards=args.shards,
-                )
-            )
+            response = service.execute(request)
     finally:
         service.close()
         if jsonl is not None:
@@ -816,46 +807,23 @@ def cmd_trace(args) -> int:
 def cmd_shard(args) -> int:
     """Evaluate one request on the sharded execution engine and (by
     default) check it against the in-process result."""
-    from repro.service import QueryRequest
     from repro.shard import ShardPolicy, canonical_relation
 
     service = _build_service(args)
     try:
-        query = args.query_ref
-        known_queries = {entry.name for entry in service.catalog.queries()}
-        if query not in known_queries:
-            query = read_term_argument(query, constants=args.constants or ())
-        db_names = [entry.name for entry in service.catalog.databases()]
-        database = args.database
-        if database is None:
-            if len(db_names) != 1:
-                raise ReproError(
-                    f"--database required: {len(db_names)} databases are "
-                    f"registered"
-                )
-            database = db_names[0]
-
         policy = ShardPolicy(
             shards=args.shards,
             partitioner=args.partitioner,
             fallback=args.fallback,
             task_timeout_s=args.task_timeout_s,
         )
-        base = dict(
-            query=query,
-            database=database,
-            engine=args.engine,
-            arity=args.arity,
-            fuel=args.fuel,
-        )
-        sharded = service.execute(
-            QueryRequest(shard_policy=policy, **base)
-        )
+        request = replace(_resolve_target(service, args), shards=None)
+        sharded = service.execute(replace(request, shard_policy=policy))
         local = None
         match = None
         speedup = None
         if not args.no_compare and sharded.ok:
-            local = service.execute(QueryRequest(**base))
+            local = service.execute(request)
             if local.ok:
                 match = canonical_relation(local.relation) == (
                     canonical_relation(sharded.relation)
@@ -1036,9 +1004,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", required=True, help="database JSON file")
     p.add_argument("--arity", type=int, default=None,
                    help="expected output arity")
-    p.add_argument("--engine",
-                   choices=["nbe", "smallstep", "applicative", "ra"],
-                   default="nbe")
+    p.add_argument("--engine", choices=ENGINES, default="nbe")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(handler=cmd_run)
 
@@ -1121,6 +1087,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
 
+    def add_request_options(p, *, shards=None):
+        p.add_argument("query_ref", metavar="QUERY",
+                       help="a query registered via --query/--fixpoint, "
+                            "or an inline term / @file")
+        p.add_argument("--database", default=None,
+                       help="which registered database to query "
+                            "(default: the only one)")
+        p.add_argument("--engine", default=None, choices=tuple(ENGINE_TABLE),
+                       help="override the plan's engine")
+        p.add_argument("--arity", type=int, default=None,
+                       help="expected output arity")
+        p.add_argument("--fuel", type=int, default=None,
+                       help="explicit fuel budget, per shard when sharded "
+                            "(default: derived from the static cost "
+                            "certificate, at each shard's statistics)")
+        p.add_argument("--shards", type=int, default=shards, metavar="K",
+                       help="evaluate on the sharded engine with K shards "
+                            "(default: %(default)s; none runs in process): "
+                            "traces show per-shard worker spans, EXPLAIN "
+                            "per-shard fuel/steps rows")
+
     p = commands.add_parser(
         "catalog",
         help="register databases and query plans, print the catalog",
@@ -1202,25 +1189,8 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="serve one request with tracing on and print the span tree",
     )
-    p.add_argument("query_ref", metavar="QUERY",
-                   help="a query registered via --query/--fixpoint, or an "
-                        "inline term / @file")
     add_service_options(p)
-    p.add_argument("--database", default=None,
-                   help="which registered database to query (default: the "
-                        "only one)")
-    p.add_argument("--engine", default=None,
-                   choices=["nbe", "smallstep", "applicative", "ra", "fixpoint"],
-                   help="override the plan's engine")
-    p.add_argument("--arity", type=int, default=None,
-                   help="expected output arity")
-    p.add_argument("--fuel", type=int, default=None,
-                   help="explicit fuel budget (default: derived from the "
-                        "static cost certificate)")
-    p.add_argument("--shards", type=int, default=None, metavar="K",
-                   help="evaluate on the sharded engine with K shards; "
-                        "the tree shows per-shard worker spans merged "
-                        "under the coordinator's trace")
+    add_request_options(p)
     p.add_argument("--repeat", type=int, default=1,
                    help="serve the request this many times (later runs "
                         "show the cache-hit span shape)")
@@ -1235,24 +1205,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="EXPLAIN ANALYZE one request: the static certificate joined "
              "with the observed execution, as JSON",
     )
-    p.add_argument("query_ref", metavar="QUERY",
-                   help="a query registered via --query/--fixpoint, or an "
-                        "inline term / @file")
     add_service_options(p)
-    p.add_argument("--database", default=None,
-                   help="which registered database to query (default: the "
-                        "only one)")
-    p.add_argument("--engine", default=None,
-                   choices=["nbe", "smallstep", "applicative", "ra", "fixpoint"],
-                   help="override the plan's engine")
-    p.add_argument("--arity", type=int, default=None,
-                   help="expected output arity")
-    p.add_argument("--fuel", type=int, default=None,
-                   help="explicit fuel budget (default: derived from the "
-                        "static cost certificate)")
-    p.add_argument("--shards", type=int, default=None, metavar="K",
-                   help="evaluate on the sharded engine with K shards "
-                        "(the report gains per-shard fuel/steps rows)")
+    add_request_options(p)
     p.set_defaults(handler=cmd_explain)
 
     p = commands.add_parser(
@@ -1278,15 +1232,8 @@ def build_parser() -> argparse.ArgumentParser:
         "shard",
         help="evaluate a request on the sharded execution engine",
     )
-    p.add_argument("query_ref", metavar="QUERY",
-                   help="a query registered via --query/--fixpoint, or an "
-                        "inline term / @file")
     add_service_options(p)
-    p.add_argument("--database", default=None,
-                   help="which registered database to query (default: the "
-                        "only one)")
-    p.add_argument("--shards", type=int, default=2,
-                   help="partition count k (default 2)")
+    add_request_options(p, shards=2)
     p.add_argument("--partitioner", default="hash",
                    choices=["hash", "round_robin"],
                    help="tuple-to-shard assignment rule")
@@ -1296,14 +1243,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "fall back to in-process evaluation)")
     p.add_argument("--task-timeout-s", type=float, default=None,
                    help="per-shard task deadline on the worker pool")
-    p.add_argument("--engine", default=None,
-                   choices=["nbe", "smallstep", "applicative", "ra", "fixpoint"],
-                   help="override the plan's engine")
-    p.add_argument("--arity", type=int, default=None,
-                   help="expected output arity")
-    p.add_argument("--fuel", type=int, default=None,
-                   help="explicit per-shard fuel (default: the cost "
-                        "certificate split over each shard's statistics)")
     p.add_argument("--no-compare", action="store_true",
                    help="skip the in-process comparison run")
     p.add_argument("--no-tuples", action="store_true",

@@ -102,8 +102,6 @@ def run_fixpoint_query_compiled(
     database: Database,
     *,
     step: Optional[StageStep] = None,
-    stop_on_convergence: bool = True,
-    read_trace: Optional[Set[str]] = None,
 ) -> FixpointRun:
     """Iterate the fixpoint ``step`` (default :func:`set_stage`) set-at-a-time.
 
@@ -116,8 +114,6 @@ def run_fixpoint_query_compiled(
     fortiori.
     """
     inputs_db = query.input_database(database)
-    if read_trace is not None:
-        read_trace.update(step_read_set(query))
     if step is None:
         step = partial(set_stage, query.effective_step(), inputs_db)
     k = query.output_arity
@@ -136,13 +132,10 @@ def run_fixpoint_query_compiled(
         ops += stage_ops
         stages_run += 1
         stage_sizes.append(len(next_set))
-        converged = next_set == current
-        current = next_set
-        stage = next_relation
-        if converged:
+        if next_set == current:
             converged_at = index + 1
-            if stop_on_convergence:
-                break
+            break
+        current, stage = next_set, next_relation
 
     relation = Relation(
         k, tuple(row for row in cartesian(domain, repeat=k) if row in current)

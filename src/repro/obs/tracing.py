@@ -39,7 +39,7 @@ import threading
 import time
 import uuid
 from collections import deque
-from contextvars import ContextVar
+from contextvars import ContextVar, Token
 from typing import Dict, Iterable, List, Optional, Sequence
 
 __all__ = [
@@ -91,17 +91,19 @@ class _NoopSpan:
 NOOP_SPAN = _NoopSpan()
 
 
-class Span:
-    """One timed, attributed segment of work.
+class _SpanBase:
+    """The span shape :class:`Span` and :class:`RecordedSpan` share.
 
     ``start_unix`` is epoch wall time (for logs and JSONL correlation);
     durations come from the monotonic clock.  ``status`` is ``"ok"``
-    unless :meth:`set_status` was called or the body raised.
+    unless :meth:`set_status` was called or the body raised.  Entering
+    and leaving the span notify its owner (``_opened`` / ``_closed``),
+    which nests and exports it.
     """
 
     __slots__ = (
         "name", "span_id", "parent_id", "trace_id", "attrs", "status",
-        "start_unix", "_start_perf", "duration_ms", "_tracer", "_token",
+        "start_unix", "_start_perf", "duration_ms", "_owner",
     )
 
     def __init__(
@@ -111,7 +113,7 @@ class Span:
         parent_id: Optional[str],
         trace_id: str,
         attrs: Dict[str, object],
-        tracer: "Tracer",
+        owner,
     ) -> None:
         self.name = name
         self.span_id = span_id
@@ -122,8 +124,7 @@ class Span:
         self.start_unix: float = 0.0
         self._start_perf: float = 0.0
         self.duration_ms: Optional[float] = None
-        self._tracer = tracer
-        self._token = None
+        self._owner = owner
 
     def set_attr(self, name: str, value) -> None:
         self.attrs[name] = value
@@ -131,11 +132,10 @@ class Span:
     def set_status(self, status: str) -> None:
         self.status = status
 
-    def __enter__(self) -> "Span":
+    def __enter__(self):
         self.start_unix = time.time()
         self._start_perf = time.perf_counter()
-        self._token = _CURRENT_SPAN.set(self)
-        self._tracer._opened(self)
+        self._owner._opened(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -147,10 +147,7 @@ class Span:
                 self.status = "error"
                 self.attrs.setdefault("error", f"{exc_type.__name__}: {exc}")
         finally:
-            if self._token is not None:
-                _CURRENT_SPAN.reset(self._token)
-                self._token = None
-            self._tracer._closed(self)
+            self._owner._closed(self)
         return False
 
     def as_dict(self) -> dict:
@@ -168,6 +165,14 @@ class Span:
             ),
             "attrs": dict(self.attrs),
         }
+
+
+class Span(_SpanBase):
+    """One timed, attributed segment of work, owned by a :class:`Tracer`
+    (which makes it the context's current span while it is open)."""
+
+    __slots__ = ("_token",)
+    _token: Token
 
 
 class Tracer:
@@ -252,10 +257,12 @@ class Tracer:
     # -- span lifecycle callbacks -------------------------------------------
 
     def _opened(self, span: Span) -> None:
+        span._token = _CURRENT_SPAN.set(span)
         with self._lock:
             self._open[span.span_id] = span
 
     def _closed(self, span: Span) -> None:
+        _CURRENT_SPAN.reset(span._token)
         with self._lock:
             self._open.pop(span.span_id, None)
         for exporter in self.exporters:
@@ -309,77 +316,12 @@ class JsonlExporter:
                 self._handle = None
 
 
-class RecordedSpan:
-    """One span captured by a :class:`SpanRecorder` (worker side).
+class RecordedSpan(_SpanBase):
+    """One span captured by a :class:`SpanRecorder` (worker side): no
+    tracer, contextvars, or locks — shard workers are single-threaded
+    per task."""
 
-    A plain context manager mirroring :class:`Span`'s surface
-    (``set_attr``/``set_status``) without a tracer, contextvars, or
-    locks — shard workers are single-threaded per task.
-    """
-
-    __slots__ = (
-        "name", "span_id", "parent_id", "trace_id", "attrs", "status",
-        "start_unix", "_start_perf", "duration_ms", "_recorder",
-    )
-
-    def __init__(
-        self,
-        name: str,
-        span_id: str,
-        parent_id: Optional[str],
-        trace_id: str,
-        attrs: Dict[str, object],
-        recorder: "SpanRecorder",
-    ) -> None:
-        self.name = name
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.trace_id = trace_id
-        self.attrs = attrs
-        self.status = "ok"
-        self.start_unix = 0.0
-        self._start_perf = 0.0
-        self.duration_ms: Optional[float] = None
-        self._recorder = recorder
-
-    def set_attr(self, name: str, value) -> None:
-        self.attrs[name] = value
-
-    def set_status(self, status: str) -> None:
-        self.status = status
-
-    def __enter__(self) -> "RecordedSpan":
-        self.start_unix = time.time()
-        self._start_perf = time.perf_counter()
-        self._recorder._stack.append(self)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.duration_ms = (time.perf_counter() - self._start_perf) * 1000.0
-        if exc_type is not None and self.status == "ok":
-            self.status = "error"
-            self.attrs.setdefault("error", f"{exc_type.__name__}: {exc}")
-        stack = self._recorder._stack
-        if stack and stack[-1] is self:
-            stack.pop()
-        self._recorder._finished.append(self.as_dict())
-        return False
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "trace_id": self.trace_id,
-            "status": self.status,
-            "start_unix": round(self.start_unix, 6),
-            "duration_ms": (
-                round(self.duration_ms, 3)
-                if self.duration_ms is not None
-                else None
-            ),
-            "attrs": dict(self.attrs),
-        }
+    __slots__ = ()
 
 
 class SpanRecorder:
@@ -419,6 +361,14 @@ class SpanRecorder:
     def spans(self) -> List[dict]:
         """The finished spans, in completion order."""
         return list(self._finished)
+
+    def _opened(self, span: RecordedSpan) -> None:
+        self._stack.append(span)
+
+    def _closed(self, span: RecordedSpan) -> None:
+        if self._stack and self._stack[-1] is span:
+            self._stack.pop()
+        self._finished.append(span.as_dict())
 
 
 def make_trace_id() -> str:

@@ -24,18 +24,22 @@ it:
   (``"fixpoint"``) — naive normalization of those towers is exponential
   (Section 5), so the spec form is the one to register; ``engine="ra"``
   opts the spec into the set-based fixpoint runner.  An explicit
-  ``engine=`` always overrides the choice.
+  ``engine=`` always overrides the choice, and is checked against the
+  engine table (:func:`repro.service.engines.runs_staged`): a term plan
+  cannot run on ``"fixpoint"``.
 
 **Bindings.**  Everything a request needs that depends only on one
 (plan, database version) pair is computed by :meth:`Catalog.bind`, once:
-the TLI024 schema-contract check, the scanned read-set, the cache key's
-version component, the admission price (the certificate at the
-read-set's statistics), the evaluation fuel and static bound (the
-certificate at the full statistics), the tightening ratio, and the
-static half of EXPLAIN.  The HTTP edge and the runtime both resolve a
-request through it.  Bindings are memoized on the immutable
-:class:`DatabaseEntry`, so one dies with its database version; inline
-plans and inline databases are bound per request and never memoized.
+whether the plan runs stage by stage or as a whole term on the engine
+(or is rejected), the TLI024 schema-contract check, the scanned
+read-set, the cache key's version component, the admission price (the
+certificate at the read-set's statistics), the evaluation fuel and
+static bound (the certificate at the full statistics), the tightening
+ratio, and the static half of EXPLAIN.  The HTTP edge and the runtime
+both resolve a request through it.  Bindings are memoized on the
+immutable :class:`DatabaseEntry`, so one dies with its database version;
+inline plans and inline databases are bound per request and never
+memoized.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ from repro.service.cache import VersionKey
 from repro.service.engines import (
     FIXPOINT_ENGINE,
     encoded_inputs,
-    validate_engine,
+    runs_staged,
 )
 
 QuerySpec = Union[Term, FixpointQuery]
@@ -263,10 +267,11 @@ class Binding:
     """One plan bound to one database version (:meth:`Catalog.bind`).
 
     Every fact here depends only on the (plan entry, database entry)
-    pair, plus ``engine`` for EXPLAIN, and is computed at most once:
-    ``contract_error`` and ``version_key`` when the binding is made, the
-    rest on first read.  The admission ``price`` and the evaluation
-    ``fuel`` instantiate the same certificate at different statistics on
+    pair and ``engine``, and is computed at most once: ``staged``,
+    ``contract_error`` and ``version_key`` when the binding is made (a
+    pair the engine cannot run is rejected then), the rest on first
+    read.  The admission ``price`` and the evaluation ``fuel``
+    instantiate the same certificate at different statistics on
     purpose: admission charges what the plan reads (TLI023), while an
     engine runs under the bound for the whole database it is given.
     """
@@ -274,6 +279,9 @@ class Binding:
     query: QueryEntry
     database: DatabaseEntry
     engine: str
+    #: Whether the plan's fixpoint spec runs stage by stage on the
+    #: engine's stage, rather than the plan's term as a whole term.
+    staged: bool
     #: The TLI024 finding when the database cannot satisfy the plan's
     #: read contract (a request for the pair is rejected), else ``None``.
     contract_error: Optional[str]
@@ -286,13 +294,19 @@ class Binding:
     def of(
         cls, query: QueryEntry, database: DatabaseEntry, engine: str
     ) -> "Binding":
+        staged = runs_staged(
+            engine,
+            query.name,
+            term=query.plan_term is not None,
+            spec=query.fixpoint is not None,
+        )
         provenance = query.provenance
         version_key = version_subvector(
             provenance, database.database, database.versions,
             database.version,
         )
         if provenance is None:
-            return cls(query, database, engine, None, version_key)
+            return cls(query, database, engine, staged, None, version_key)
         mismatches, _ = check_schema_contract(
             provenance, database_schema(database.database)
         )
@@ -302,7 +316,7 @@ class Binding:
                 f"[TLI024] query {query.name!r} does not fit database "
                 f"{database.name!r}: " + "; ".join(mismatches)
             )
-        return cls(query, database, engine, error, version_key)
+        return cls(query, database, engine, staged, error, version_key)
 
     @cached_property
     def scanned(self) -> Optional[Tuple[str, ...]]:
@@ -624,7 +638,8 @@ class Catalog:
                     f"({decision.reason}): {decision.summary}",
                 )
         if engine:
-            chosen = validate_engine(engine)
+            runs_staged(engine, name, term=True, spec=False)
+            chosen = engine
         elif decision is not None and decision.compiled:
             chosen = "ra"
         else:
@@ -673,11 +688,8 @@ class Catalog:
                 f"fixpoint step compiles to set algebra: "
                 f"{decision.summary}",
             )
-        chosen = (
-            validate_engine(engine, allow_fixpoint=True)
-            if engine
-            else FIXPOINT_ENGINE
-        )
+        chosen = engine or FIXPOINT_ENGINE
+        runs_staged(chosen, name, term=True, spec=True)
         signature = QueryArity(
             tuple(k for _, k in query.input_schema), query.output_arity
         )

@@ -1,6 +1,29 @@
-"""Engine dispatch shared by the one-shot driver and the service runtime.
+"""The engine table, and engine dispatch for term plans.
 
-Term-shaped queries run on one of the :data:`ENGINES`:
+:data:`ENGINE_TABLE` says, for each engine name, the two things the
+runtime, the catalog and the shard workers need to know:
+
+======================  ===========  =====================================
+engine                  term plans   fixpoint stage
+======================  ===========  =====================================
+``"nbe"``               yes          none
+``"smallstep"``         yes          none
+``"applicative"``       yes          none
+``"ra"``                yes          the set stage (``set_stage``)
+``"fixpoint"``          no           the NBE-materialized stage
+======================  ===========  =====================================
+
+:func:`runs_staged` reads it once per (plan, engine) pair, for the
+catalog at registration and for :class:`~repro.service.catalog.Binding`
+per request: a plan with a fixpoint spec runs stage by stage on an
+engine with a stage (Theorem 5.2, and the only shape a sharded fixpoint
+has: the stage barrier is what makes broadcasting the fixpoint variable
+sound); a plan with a term runs as a whole term on an engine that
+answers terms (a registered fixpoint plan's compiled tower included);
+any other pair is rejected with one error naming the engines that can
+run the plan.
+
+Term plans run on one of the :data:`ENGINES`:
 
 * ``"nbe"`` — normalization by evaluation (:mod:`repro.lam.nbe`), the
   performance normalizer and the default;
@@ -27,17 +50,19 @@ hits and shard tasks, and a relation that only ``"ra"`` reads is never
 encoded.  ``"ra"`` hands back the relation it computed; its term, when
 someone asks for it, is rebuilt from that relation.
 
-Fixpoint-query specs (:class:`repro.queries.fixpoint.FixpointQuery`) do not
-go through this module: the service runtime dispatches them to the
-Theorem 5.2 stage-materializing evaluator
-(:func:`repro.eval.ptime.run_fixpoint_query`) under the engine name
-``"fixpoint"``.
+A whole fixpoint loop does not go through this module: in process the
+runtime runs ``"fixpoint"`` on the Theorem 5.2 stage-materializing
+evaluator (:func:`repro.eval.ptime.run_fixpoint_query`) and ``"ra"`` on
+the compiled set-level loop
+(:func:`repro.compile.fixpoint.run_fixpoint_query_compiled`); a sharded
+loop hands the compiled loop a fan-out step whose shard tasks run the
+table's stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.db.decode import DecodedRelation
 from repro.db.encode import encode_relation
@@ -46,15 +71,12 @@ from repro.errors import EvaluationError, SchemaError
 from repro.lam.nbe import nbe_normalize_counted
 from repro.lam.reduce import DEFAULT_FUEL, Strategy, normalize
 from repro.lam.terms import Term, app
+from repro.relalg.ast import RAExpr
 
-#: The term-level engines, in documentation order.
-ENGINES = ("nbe", "smallstep", "applicative", "ra")
-
-#: The compiled set-backed engine's name (a member of :data:`ENGINES`).
+#: The compiled set-backed engine's name.
 RA_ENGINE = "ra"
 
-#: Engine name used by the runtime for fixpoint-query specs (not a member
-#: of :data:`ENGINES`: it applies to specs, not raw terms).
+#: The Theorem 5.2 stage-materializing engine's name (fixpoint specs only).
 FIXPOINT_ENGINE = "fixpoint"
 
 DEFAULT_MAX_DEPTH = 600_000
@@ -63,6 +85,52 @@ _STRATEGIES = {
     "smallstep": Strategy.NORMAL_ORDER,
     "applicative": Strategy.APPLICATIVE_ORDER,
 }
+
+#: One fixpoint stage: ``(step, inputs, stage, max_depth)`` to the next
+#: stage and the work it took.
+Stage = Callable[[RAExpr, Database, Relation, int], Tuple[Relation, int]]
+
+
+@dataclass(frozen=True)
+class Engine:
+    """One row of :data:`ENGINE_TABLE`: whether the engine answers term
+    plans, and the fixpoint stage it runs (``None``: it runs none)."""
+
+    terms: bool
+    stage: Optional[Stage] = None
+
+
+def _set_stage(
+    step: RAExpr, inputs: Database, stage: Relation, max_depth: int
+) -> Tuple[Relation, int]:
+    from repro.compile.fixpoint import set_stage
+
+    return set_stage(step, inputs, stage)
+
+
+def _materialized_stage(
+    step: RAExpr, inputs: Database, stage: Relation, max_depth: int
+) -> Tuple[Relation, int]:
+    from repro.eval.materialize import run_ra_query_materialized
+    from repro.queries.fixpoint import FIX_NAME
+
+    run = run_ra_query_materialized(
+        step, inputs.with_relation(FIX_NAME, stage), max_depth=max_depth
+    )
+    return run.relation, run.steps
+
+
+#: Every engine, in documentation order.
+ENGINE_TABLE: Dict[str, Engine] = {
+    "nbe": Engine(terms=True),
+    "smallstep": Engine(terms=True),
+    "applicative": Engine(terms=True),
+    RA_ENGINE: Engine(terms=True, stage=_set_stage),
+    FIXPOINT_ENGINE: Engine(terms=False, stage=_materialized_stage),
+}
+
+#: The engines that answer term plans, in documentation order.
+ENGINES = tuple(name for name, row in ENGINE_TABLE.items() if row.terms)
 
 
 @dataclass(frozen=True)
@@ -115,16 +183,40 @@ def encoded_inputs(database: Database) -> Tuple[Term, ...]:
     return tuple(relation_term(relation) for _, relation in database)
 
 
-def validate_engine(engine: str, *, allow_fixpoint: bool = False) -> str:
-    """Check ``engine`` against the known engine names, *before* any
-    per-request work (encoding a large database only to fail on a typo is
-    exactly the failure mode this guards against)."""
-    allowed = ENGINES + ((FIXPOINT_ENGINE,) if allow_fixpoint else ())
-    if engine not in allowed:
+def validate_engine(engine: str) -> Engine:
+    """The table row of ``engine``, checked *before* any per-request
+    work (encoding a large database only to fail on a typo is exactly
+    the failure mode this guards against)."""
+    row = ENGINE_TABLE.get(engine)
+    if row is None:
         raise EvaluationError(
-            f"unknown engine {engine!r}; expected one of {allowed}"
+            f"unknown engine {engine!r}; expected one of "
+            f"{tuple(ENGINE_TABLE)}"
         )
-    return engine
+    return row
+
+
+def runs_staged(engine: str, name: str, *, term: bool, spec: bool) -> bool:
+    """How ``engine`` runs the plan ``name``, which has a term (``term``)
+    and/or a fixpoint spec (``spec``): ``True`` when the spec runs stage
+    by stage, ``False`` when the term runs whole.  A pair that can run
+    neither way is rejected with one error naming the engines that can
+    run the plan."""
+    row = validate_engine(engine)
+    if spec and row.stage is not None:
+        return True
+    if term and row.terms:
+        return False
+    able = [
+        repr(other)
+        for other, candidate in ENGINE_TABLE.items()
+        if (spec and candidate.stage is not None)
+        or (term and candidate.terms)
+    ]
+    raise EvaluationError(
+        f"query {name!r} runs on {', '.join(able[:-1])} or {able[-1]}, "
+        f"not on engine {engine!r}"
+    )
 
 
 def evaluate_term_query(
@@ -151,7 +243,7 @@ def evaluate_term_query(
     ``observer`` receives the engine's step breakdown dict (the
     :mod:`repro.obs.profiler` contract); step totals are unchanged by it.
     """
-    validate_engine(engine)
+    runs_staged(engine, "<term>", term=True, spec=False)
     fallback: Optional[str] = None
     if engine == RA_ENGINE:
         if not isinstance(inputs, Database):

@@ -13,9 +13,12 @@ One request = one (query plan, database) pair plus budgets.  The runtime
 2. consults the :class:`~repro.service.cache.ResultCache` under a
    *single-flight* lock, so N concurrent identical requests cost one
    evaluation and N-1 waits;
-3. on a miss, evaluates on the plan's engine (``nbe`` / ``smallstep`` /
-   ``applicative`` for term plans, the Theorem 5.2 stage evaluator for
-   fixpoint plans) under the request's fuel/depth budgets;
+3. on a miss, evaluates on the plan's engine under the request's
+   fuel/depth budgets, the way the binding decided from the engine table
+   (:mod:`repro.service.engines`): a term plan, or a fixpoint plan's
+   tower, as a whole term; a fixpoint spec stage by stage, on the
+   Theorem 5.2 stage evaluator (``fixpoint``) or the compiled set-level
+   loop (``ra``), in process or fanned out over shards;
 4. degrades gracefully: an exhausted budget is a ``fuel_exhausted``
    *response*, not an exception out of the batch.
 
@@ -116,9 +119,9 @@ DEFAULT_FUEL = 10_000_000
 TIMEOUT_POOL_WORKERS = 16
 
 #: Capacity of the per-service distribution-plan LRU (keyed by query
-#: digest x schema names).  Classification is cheap to redo, so a small
-#: bound beats an unbounded dict on long-lived services with churning
-#: inline queries or schemas.
+#: digest x schema names x whether the plan runs stage by stage).
+#: Classification is cheap to redo, so a small bound beats an unbounded
+#: dict on long-lived services with churning inline queries or schemas.
 PLAN_CACHE_CAPACITY = 128
 
 #: Statuses a response can carry.
@@ -348,7 +351,7 @@ class QueryService:
         self._shard_pool = None
         self._shard_pool_lock = threading.Lock()
         self._plan_cache: BoundedLRU[
-            Tuple[str, Tuple[str, ...]], object
+            Tuple[str, Tuple[str, ...], bool], object
         ] = BoundedLRU(PLAN_CACHE_CAPACITY)
 
     def enable_flight(
@@ -638,7 +641,7 @@ class QueryService:
     ) -> QueryResponse:
         tracer = self.tracer
         if request.engine is not None:
-            validate_engine(request.engine, allow_fixpoint=True)
+            validate_engine(request.engine)
         with tracer.span("resolve") as span:
             query = self._resolve_query(request)
             db_entry = self._resolve_database(request)
@@ -648,19 +651,6 @@ class QueryService:
             span.set_attr("query", query.name)
             span.set_attr("database", db_entry.name)
         extras["binding"] = binding
-        if binding.engine == FIXPOINT_ENGINE and query.fixpoint is None:
-            raise ReproError(
-                f"query {query.name!r} has no fixpoint spec; the "
-                f"'fixpoint' engine applies to FixpointQuery plans only"
-            )
-        if query.plan_term is None and binding.engine not in (
-            FIXPOINT_ENGINE, RA_ENGINE,
-        ):
-            raise ReproError(
-                f"query {query.name!r} is a fixpoint spec without a "
-                f"compiled tower; it runs on the 'fixpoint' or 'ra' "
-                f"engine, not {binding.engine!r}"
-            )
         if binding.contract_error is not None:
             # TLI024: the database cannot satisfy the plan's read
             # contract, so the pair is rejected before any evaluation.
@@ -796,17 +786,28 @@ class QueryService:
         query, engine = binding.query, binding.engine
         database = binding.database.database
         ran_engine = engine
-        if engine == FIXPOINT_ENGINE:
-            from repro.eval.ptime import run_fixpoint_query
-
+        if binding.staged:
             with tracer.span("evaluate", engine=engine) as span:
                 try:
-                    run = run_fixpoint_query(
-                        query.fixpoint,
-                        database,
-                        max_depth=request.max_depth,
-                        observer=collector,
-                    )
+                    if engine == FIXPOINT_ENGINE:
+                        from repro.eval.ptime import run_fixpoint_query
+
+                        run = run_fixpoint_query(
+                            query.fixpoint,
+                            database,
+                            max_depth=request.max_depth,
+                            observer=collector,
+                        )
+                    else:
+                        # The set-based fixpoint runner: RA stages on
+                        # Python sets, no lambda tower anywhere.
+                        run = run_fixpoint_query_compiled(
+                            query.fixpoint, database
+                        )
+                        collector({"steps": run.nbe_steps})
+                        self._compile_metrics["compile_requests"].inc(
+                            path="compiled"
+                        )
                 finally:
                     self._annotate_evaluation(span, collector)
                 span.set_attr("stages", run.stages)
@@ -814,19 +815,6 @@ class QueryService:
             steps: Optional[int] = run.nbe_steps
             stages: Optional[int] = run.stages
             budget: Optional[int] = None
-        elif engine == RA_ENGINE and query.fixpoint is not None:
-            # The set-based fixpoint runner: RA stages on Python sets,
-            # no lambda tower anywhere.
-            with tracer.span("evaluate", engine=RA_ENGINE) as span:
-                run = run_fixpoint_query_compiled(query.fixpoint, database)
-                collector({"steps": run.nbe_steps})
-                self._annotate_evaluation(span, collector)
-                span.set_attr("stages", run.stages)
-            self._compile_metrics["compile_requests"].inc(path="compiled")
-            decoded, normal_form = run.decoded, run.normal_form
-            steps = run.nbe_steps
-            stages = run.stages
-            budget = None
         else:
             with tracer.span("fuel") as span:
                 span.set_attr("budget", fuel)
@@ -929,7 +917,10 @@ class QueryService:
     def _distribution_plan(self, binding: Binding):
         """The (memoized) distribution classification of one plan against
         one database schema (kept per schema, not per binding: updates
-        replace the database entry but rarely its schema)."""
+        replace the database entry but rarely its schema) and one way of
+        running it: a spec run stage by stage is classified by its step,
+        a fixpoint plan whose tower runs whole is local-only (TLI018),
+        and a term plan is classified by its term."""
         from repro.shard.planner import (
             DistributionPlan,
             MODE_LOCAL,
@@ -939,27 +930,35 @@ class QueryService:
 
         query = binding.query
         names = tuple(binding.database.database.names)
-        key = (query.digest, names)
+        key = (query.digest, names, binding.staged)
         plan = self._plan_cache.get(key)
         if plan is not None:
             return plan
-        try:
-            if query.fixpoint is not None:
-                plan = plan_distribution(query.fixpoint)
-            else:
+        reason = None
+        if binding.staged or query.fixpoint is None:
+            try:
                 plan = plan_distribution(
-                    query.plan_term,
+                    query.fixpoint if binding.staged else query.plan_term,
                     signature=query.signature,
                     input_names=names,
                 )
-        except ReproError as exc:
+            except ReproError as exc:
+                reason = f"distribution analysis failed: {exc}"
+        else:
+            # Classifying the tower instead would NBE-normalize it, which
+            # does not finish on towers such as tc's.
+            reason = (
+                "a fixpoint plan shards only stage by stage; this engine "
+                "reduces its tower whole, in process"
+            )
+        if reason is not None:
             plan = DistributionPlan(
                 mode=MODE_LOCAL,
                 kind=query.kind,
                 partition_names=(),
                 broadcast_names=names,
                 code=CODE_LOCAL_ONLY,
-                reason=f"distribution analysis failed: {exc}",
+                reason=reason,
             )
         self._plan_cache.put(key, plan)
         return plan
@@ -1019,9 +1018,7 @@ class QueryService:
         compute_start = time.perf_counter()
         pool = self._shard_pool_for(policy)
         query, db_entry = binding.query, binding.database
-        if query.fixpoint is not None and (
-            binding.engine in (FIXPOINT_ENGINE, RA_ENGINE)
-        ):
+        if binding.staged:
             outcome = execute_sharded_fixpoint(
                 pool=pool,
                 tracer=self.tracer,

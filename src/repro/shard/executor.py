@@ -6,17 +6,25 @@ tracer and metrics belong to the service — and returns a
 :class:`ShardOutcome` with a per-shard profile carrying each shard's
 observed steps against its own Theorem 5.1 bound.
 
-Two drivers:
+The service's binding decides which of the two entry points runs
+(:func:`repro.service.engines.runs_staged`): a plan that runs as a whole
+term fans out once, a fixpoint spec that runs stage by stage fans out
+once per stage.  A fixpoint plan whose tower a reduction engine reduces
+whole never gets here: it is local-only (TLI018) and runs in process.
 
 * :func:`execute_sharded_term` — one task per shard, single round; the
   relation comes back in canonical (the merge combiner's sorted) order.
 * :func:`execute_sharded_fixpoint` — hands the compiled Theorem 5.2 stage
   loop (:func:`repro.compile.fixpoint.run_fixpoint_query_compiled`) a
-  fan-out step: each stage runs on every shard, on the request's engine,
-  with the current stage relation broadcast as ``__FIX__``, and the shard
-  outputs are merged (the stage barrier is what makes broadcast of the
-  fixpoint variable sound).  The loop checks convergence globally and
-  returns the relation in the unsharded engines' ``D^k`` order.
+  fan-out step: each stage runs on every shard, by the request's
+  engine's stage, with the current stage relation broadcast as
+  ``__FIX__``, and the shard outputs are merged (the stage barrier is
+  what makes broadcast of the fixpoint variable sound).  The loop checks
+  convergence globally and returns the relation in the unsharded
+  engines' ``D^k`` order.
+
+Both fan out through :func:`_fan_out`: run the batch, graft the worker
+spans, check every reply.
 """
 
 from __future__ import annotations
@@ -150,19 +158,6 @@ def _attach_trace(tasks: Sequence[dict], span) -> None:
         }
 
 
-def _graft_worker_spans(
-    tracer: Tracer, span, replies: Sequence[dict]
-) -> None:
-    """Merge the span lists the workers shipped back into the
-    coordinator's exporters (one tree spanning both processes)."""
-    if not isinstance(span, Span):
-        return
-    for reply in replies:
-        spans = reply.get("spans")
-        if spans:
-            tracer.ingest(spans)
-
-
 def _synthesize_respawns(
     tracer: Tracer, span, retries_by_shard: Dict[int, dict]
 ) -> None:
@@ -198,14 +193,32 @@ def _synthesize_respawns(
         )
 
 
-def _check_reply(reply: dict, shard: int) -> None:
-    if reply.get("ok"):
-        return
-    if reply.get("error_kind") == "fuel":
-        raise FuelExhausted(int(reply.get("steps") or 0))
-    raise ReproError(
-        f"shard {shard} failed: {reply.get('error', 'unknown error')}"
-    )
+def _fan_out(
+    pool: ShardWorkerPool,
+    tracer: Tracer,
+    span,
+    policy: ShardPolicy,
+    tasks: List[dict],
+) -> Tuple[List[dict], List[Relation]]:
+    """Run one task per shard, graft the span lists the workers shipped
+    back under ``span`` (one tree spanning both processes) and check
+    every reply; the replies and the shard outputs, in shard order."""
+    replies = pool.run_batch(tasks, timeout_s=policy.task_timeout_s)
+    if isinstance(span, Span):
+        for reply in replies:
+            if reply.get("spans"):
+                tracer.ingest(reply["spans"])
+    parts: List[Relation] = []
+    for index, reply in enumerate(replies):
+        if not reply.get("ok"):
+            if reply.get("error_kind") == "fuel":
+                raise FuelExhausted(int(reply.get("steps") or 0))
+            raise ReproError(
+                f"shard {index} failed: "
+                f"{reply.get('error', 'unknown error')}"
+            )
+        parts.append(Relation.from_tuples(reply["arity"], reply["tuples"]))
+    return replies, parts
 
 
 def execute_sharded_term(
@@ -263,42 +276,33 @@ def execute_sharded_term(
         "shard.evaluate", engine=engine, tasks=len(tasks)
     ) as span:
         _attach_trace(tasks, span)
-        replies = pool.run_batch(tasks, timeout_s=policy.task_timeout_s)
+        replies, parts = _fan_out(pool, tracer, span, policy, tasks)
         span.set_attr(
             "retries", sum(r["_meta"]["retries"] for r in replies)
         )
         span.set_attr(
             "degraded", sum(1 for r in replies if r["_meta"]["degraded"])
         )
-        _graft_worker_spans(tracer, span, replies)
         _synthesize_respawns(
             tracer,
             span,
             {i: r["_meta"] for i, r in enumerate(replies)},
         )
-    rows: List[dict] = []
-    parts: List[Relation] = []
-    total_steps = 0
-    for index, reply in enumerate(replies):
-        _check_reply(reply, index)
-        steps = int(reply.get("steps") or 0)
-        total_steps += steps
-        parts.append(
-            Relation.from_tuples(reply["arity"], reply["tuples"])
+    steps = [int(reply.get("steps") or 0) for reply in replies]
+    rows = [
+        _shard_row(
+            index, shards[index], partitioned, steps[index], fuels[index],
+            cost.bound(stats[index]) if cost is not None else None,
+            reply["_meta"], output_tuples=len(reply["tuples"]),
         )
-        rows.append(
-            _shard_row(
-                index, shards[index], partitioned, steps, fuels[index],
-                cost.bound(stats[index]) if cost is not None else None,
-                reply["_meta"], output_tuples=len(reply["tuples"]),
-            )
-        )
+        for index, reply in enumerate(replies)
+    ]
     with tracer.span("shard.merge", parts=len(parts)) as span:
         merged = merge_relations(parts, arity=arity)
         span.set_attr("tuples", len(merged))
     return ShardOutcome(
         relation=merged,
-        steps=total_steps,
+        steps=sum(steps),
         stages=None,
         partitioned=partitioned,
         shard_rows=rows,
@@ -323,10 +327,10 @@ def execute_sharded_fixpoint(
     :func:`~repro.compile.fixpoint.run_fixpoint_query_compiled` owns the
     input check, the crank, convergence and the ``D^k`` order; this
     hands it a step that ships the current (global) stage to every shard
-    as ``__FIX__``, evaluates ``effective_step`` there on ``engine``
-    (set stages for ``"ra"``, NBE-materialized stages for
-    ``"fixpoint"``), and merges the shard outputs.  The stage barrier is
-    what makes broadcasting the fixpoint variable sound.
+    as ``__FIX__``, evaluates ``effective_step`` there by ``engine``'s
+    stage in the engine table (set stages for ``"ra"``, NBE-materialized
+    stages for ``"fixpoint"``), and merges the shard outputs.  The stage
+    barrier is what makes broadcasting the fixpoint variable sound.
     """
     # TLI024 before the partitioner meets a missing input (the loop
     # repeats the check before its first stage).
@@ -369,20 +373,14 @@ def execute_sharded_fixpoint(
                 # shows the cold/warm snapshot split.
                 _attach_trace(tasks, span)
                 first_stage = False
-            replies = pool.run_batch(tasks, timeout_s=policy.task_timeout_s)
-            _graft_worker_spans(tracer, span, replies)
-            parts: List[Relation] = []
+            replies, parts = _fan_out(pool, tracer, span, policy, tasks)
             stage_steps = 0
             for index, reply in enumerate(replies):
-                _check_reply(reply, index)
                 steps = int(reply.get("steps") or 0)
                 shard_steps[index] += steps
                 stage_steps += steps
                 shard_meta[index]["retries"] += reply["_meta"]["retries"]
                 shard_meta[index]["degraded"] |= reply["_meta"]["degraded"]
-                parts.append(
-                    Relation.from_tuples(reply["arity"], reply["tuples"])
-                )
             return merge_relations(parts, arity=arity), stage_steps
 
         run = run_fixpoint_query_compiled(fixpoint, database, step=fan_out)

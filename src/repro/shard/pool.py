@@ -8,18 +8,23 @@ update ships new digests, so an unbounded cache would grow with the
 update stream).  The coordinator mirrors each worker's cache with a
 ``BoundedLRU`` of the same bound, touched in the same order, so both
 evict the same digest; it re-ships a snapshot the worker has evicted.
+A task naming a snapshot the worker does not hold replies with
+``error_kind`` ``"snapshot"``, and the coordinator records a digest
+only when the worker resolved it, so the mirror stays exact.
 Snapshots are plain relations: a worker encodes a relation
 (Definition 3.1) only when a task reduces over it — a reduction engine,
 ``"ra"``'s per-shard NBE fallback, or a ``"fixpoint"`` stage — and then
 once per snapshot.
 
-An ``ra`` task is one fixpoint stage of a sharded Theorem 5.2 loop: the
-step over the snapshot, with the broadcast stage bound to ``__FIX__``.
-It runs on the request's engine: ``"ra"`` runs the same set stage as the
-in-process loop (:func:`repro.compile.fixpoint.set_stage`, counting set
-ops), ``"fixpoint"`` materializes the stage through NBE
-(:func:`repro.eval.materialize.run_ra_query_materialized`, counting
-reduction steps).
+Two task kinds evaluate, through one body: resolve the snapshot, then
+run.  A ``term`` task answers a term plan over its snapshot on the
+task's engine (:func:`repro.service.engines.evaluate_term_query`).  An
+``ra`` task is one fixpoint stage of a sharded Theorem 5.2 loop: the
+step over the snapshot, with the broadcast stage bound to ``__FIX__``,
+run by the stage the engine table
+(:data:`repro.service.engines.ENGINE_TABLE`) gives the task's engine —
+for ``"ra"`` the in-process loop's set stage (counting set ops), for
+``"fixpoint"`` the NBE-materialized stage (counting reduction steps).
 
 Reliability model:
 
@@ -86,6 +91,10 @@ class WorkerTimeout(WorkerCrash):
     """A worker missed its per-task deadline (killed and respawned)."""
 
 
+class SnapshotMiss(ReproError):
+    """A task named a database snapshot the worker does not hold."""
+
+
 # ---------------------------------------------------------------------------
 # Task execution (worker side and the degraded in-process path)
 # ---------------------------------------------------------------------------
@@ -123,25 +132,57 @@ def _task_recorder(task: dict):
     )
 
 
-def _attach_spans(reply: dict, recorder) -> dict:
-    spans = recorder.spans()
-    if spans:
-        reply["spans"] = spans
-    return reply
-
-
 def _resolve_database(task: dict, cache: BoundedLRU) -> Database:
     digest = task.get("db_digest")
     database = task.get("database")
     if database is None:
         database = cache.get(digest)
         if database is None:
-            raise ReproError(
+            raise SnapshotMiss(
                 f"task references unknown database snapshot {digest!r}"
             )
     if digest is not None:
         cache.put(digest, database)
     return database
+
+
+def _evaluate_term(task: dict, database: Database, engine: str):
+    from repro.db.decode import decode_relation
+    from repro.service.engines import evaluate_term_query
+
+    # "ra" degrades to NBE per shard inside the engine call (same
+    # relation, reduction semantics).
+    result = evaluate_term_query(
+        task["term"],
+        database,
+        engine=engine,
+        fuel=task.get("fuel"),
+        max_depth=task.get("max_depth", 600_000),
+        output_arity=task.get("arity"),
+    )
+    decoded = result.decoded or decode_relation(
+        result.normal_form, task.get("arity")
+    )
+    return decoded.relation, result.steps, result.fallback is not None
+
+
+def _evaluate_stage(task: dict, database: Database, engine: str):
+    from repro.service.engines import validate_engine
+
+    stage = validate_engine(engine).stage
+    if stage is None:
+        raise ReproError(f"engine {engine!r} runs no fixpoint stage")
+    relation, steps = stage(
+        task["expr"],
+        database,
+        Relation.from_tuples(task["fix_arity"], task["fix_tuples"]),
+        task.get("max_depth", 600_000),
+    )
+    return relation, steps, False
+
+
+#: What each task kind that evaluates over a snapshot runs.
+_EVALUATORS = {"term": _evaluate_term, "ra": _evaluate_stage}
 
 
 def execute_task(task: dict, cache: Optional[BoundedLRU] = None) -> dict:
@@ -150,137 +191,71 @@ def execute_task(task: dict, cache: Optional[BoundedLRU] = None) -> dict:
     Kinds: ``ping`` (health check), ``db`` (preload a snapshot), ``term``
     (evaluate a term plan over a snapshot), ``ra`` (one fixpoint stage:
     the RA step over a snapshot with the broadcast stage bound to
-    ``__FIX__``, on the task's engine).
+    ``__FIX__``, by the stage of the task's engine).  A task that names
+    no engine runs on ``"nbe"``.  A task naming a snapshot the worker
+    does not hold fails with ``error_kind`` ``"snapshot"`` and leaves
+    the snapshot cache untouched; any other reply to a task that names a
+    snapshot means the worker resolved it.
     """
     if cache is None:
         cache = BoundedLRU(SNAPSHOT_CACHE_SIZE)
     kind = task.get("kind")
-    recorder = (
-        _task_recorder(task) if kind in ("term", "ra") else _NOOP_RECORDER
-    )
-    shard_index = (task.get("trace") or {}).get("shard")
+    recorder = _NOOP_RECORDER
     try:
         if kind == "ping":
             return {"ok": True, "kind": "pong", "pid": os.getpid()}
         if kind == "db":
             _resolve_database(task, cache)
             return {"ok": True, "kind": "db"}
-        if kind == "term":
-            from repro.db.decode import decode_relation
-            from repro.obs.profiler import ProfileCollector
-            from repro.service.engines import evaluate_term_query
-
+        if kind not in _EVALUATORS:
+            return {"ok": False, "error_kind": "error",
+                    "error": f"unknown task kind {kind!r}"}
+        engine = task.get("engine", "nbe")
+        recorder = _task_recorder(task)
+        with recorder.span(
+            "worker.task", kind=kind,
+            shard=(task.get("trace") or {}).get("shard"), pid=os.getpid(),
+        ):
             with recorder.span(
-                "worker.task", kind="term", shard=shard_index,
-                pid=os.getpid(),
+                "worker.snapshot",
+                warm=(
+                    task.get("database") is None
+                    and task.get("db_digest") in cache
+                ),
             ):
-                with recorder.span(
-                    "worker.snapshot",
-                    warm=(
-                        task.get("database") is None
-                        and task.get("db_digest") in cache
-                    ),
-                ):
-                    database = _resolve_database(task, cache)
-                collector = ProfileCollector()
-                engine = task.get("engine", "nbe")
-                with recorder.span(
-                    "worker.evaluate", engine=engine
-                ) as span:
-                    # "ra" degrades to NBE per shard inside the engine
-                    # call (same relation, reduction semantics).
-                    result = evaluate_term_query(
-                        task["term"],
-                        database,
-                        engine=engine,
-                        fuel=task.get("fuel"),
-                        max_depth=task.get("max_depth", 600_000),
-                        observer=collector,
-                        output_arity=task.get("arity"),
-                    )
-                    if result.fallback is not None:
-                        span.set_attr("compile_fallback", True)
-                    span.set_attr("steps", result.steps)
-                relation = (
-                    result.decoded
-                    or decode_relation(result.normal_form, task.get("arity"))
-                ).relation
-            return _attach_spans(
-                {
-                    "ok": True,
-                    "tuples": relation.tuples,
-                    "arity": relation.arity,
-                    "steps": result.steps,
-                    "profile": collector.profile.as_dict(),
-                },
-                recorder,
-            )
-        if kind == "ra":
-            from repro.compile.fixpoint import set_stage
-            from repro.eval.materialize import run_ra_query_materialized
-            from repro.queries.fixpoint import FIX_NAME
-
-            engine = task.get("engine", "fixpoint")
-            with recorder.span(
-                "worker.task", kind="ra", shard=shard_index,
-                pid=os.getpid(),
-            ):
-                with recorder.span(
-                    "worker.snapshot",
-                    warm=(
-                        task.get("database") is None
-                        and task.get("db_digest") in cache
-                    ),
-                ):
-                    database = _resolve_database(task, cache)
-                stage = Relation.from_tuples(
-                    task["fix_arity"], task["fix_tuples"]
+                database = _resolve_database(task, cache)
+            with recorder.span("worker.evaluate", engine=engine) as span:
+                relation, steps, fell_back = _EVALUATORS[kind](
+                    task, database, engine
                 )
-                with recorder.span(
-                    "worker.evaluate", engine=engine
-                ) as span:
-                    if engine == "ra":
-                        relation, steps = set_stage(
-                            task["expr"], database, stage
-                        )
-                    else:
-                        run = run_ra_query_materialized(
-                            task["expr"],
-                            database.with_relation(FIX_NAME, stage),
-                            max_depth=task.get("max_depth", 600_000),
-                        )
-                        relation, steps = run.relation, run.steps
-                    span.set_attr("steps", steps)
-            return _attach_spans(
-                {
-                    "ok": True,
-                    "tuples": relation.tuples,
-                    "arity": relation.arity,
-                    "steps": steps,
-                },
-                recorder,
-            )
-        return {"ok": False, "error_kind": "error",
-                "error": f"unknown task kind {kind!r}"}
+                if fell_back:
+                    span.set_attr("compile_fallback", True)
+                span.set_attr("steps", steps)
+        reply = {
+            "ok": True,
+            "tuples": relation.tuples,
+            "arity": relation.arity,
+            "steps": steps,
+        }
+    except SnapshotMiss as exc:
+        reply = {"ok": False, "error_kind": "snapshot", "error": str(exc)}
     except FuelExhausted as exc:
-        return _attach_spans(
-            {
-                "ok": False,
-                "error_kind": "fuel",
-                "steps": exc.steps,
-                "error": str(exc),
-            },
-            recorder,
-        )
+        reply = {
+            "ok": False,
+            "error_kind": "fuel",
+            "steps": exc.steps,
+            "error": str(exc),
+        }
     except Exception as exc:  # noqa: BLE001 - replies, never raises
-        return _attach_spans(
-            {
-                "ok": False,
-                "error_kind": "error",
-                "error": f"{type(exc).__name__}: {exc}",
-            },
-            recorder,
-        )
+        reply = {
+            "ok": False,
+            "error_kind": "error",
+            "error": f"{type(exc).__name__}: {exc}",
+        }
+    spans = recorder.spans()
+    if spans:
+        reply["spans"] = spans
+    return reply
 
 
 def _worker_main(conn) -> None:
@@ -331,22 +306,18 @@ class ShardWorkerPool:
         self,
         workers: int,
         *,
-        start_method: Optional[str] = None,
         max_retries: int = 2,
         backoff_s: float = 0.05,
-        task_timeout_s: Optional[float] = None,
         observer: Optional[Callable[[str], None]] = None,
     ) -> None:
         if workers < 1:
             raise ReproError(f"pool needs >= 1 worker, got {workers}")
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._ctx = multiprocessing.get_context(start_method)
-        self.start_method = start_method
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else methods[0]
+        )
         self.max_retries = max_retries
         self.backoff_s = backoff_s
-        self.task_timeout_s = task_timeout_s
         self._observer = observer
         self._lock = threading.Lock()
         self._closed = False
@@ -519,7 +490,6 @@ class ShardWorkerPool:
         worker index, retry count, and whether it degraded."""
         if self._closed:
             raise ReproError("the shard worker pool is closed")
-        timeout = timeout_s if timeout_s is not None else self.task_timeout_s
         index = worker_index % len(self._workers)
         slot = self._worker_locks[index]
         self._notify(EVENT_TASK)
@@ -538,7 +508,7 @@ class ShardWorkerPool:
                 if digest is not None and digest in worker.seen:
                     payload.pop("database", None)
                 try:
-                    reply = self._roundtrip(index, payload, timeout)
+                    reply = self._roundtrip(index, payload, timeout_s)
                 except WorkerCrash as crash:
                     timed_out = isinstance(crash, WorkerTimeout)
                     self._notify(
@@ -547,7 +517,12 @@ class ShardWorkerPool:
                     self._respawn(index)
                     crashed = True
                 else:
-                    if digest is not None:
+                    # The worker touched its cache for the digest unless
+                    # the snapshot missed, so the mirror follows suit.
+                    if (
+                        digest is not None
+                        and reply.get("error_kind") != "snapshot"
+                    ):
                         worker.seen.put(digest, True)
             if crashed:
                 retries += 1

@@ -276,6 +276,47 @@ class TestExecute:
                     QueryRequest(query=query, database=graph, engine=own)
                 ).ok
 
+    @pytest.mark.parametrize("plan", ["term", "fixpoint", "spec"])
+    @pytest.mark.parametrize(
+        "engine", ["nbe", "smallstep", "applicative", "ra", "fixpoint"]
+    )
+    def test_every_engine_runs_a_plan_or_names_who_can(self, engine, plan):
+        """Each (table engine, plan) pair either runs or gets the one
+        error, naming every engine that can run the plan."""
+        from repro.service.engines import ENGINE_TABLE
+
+        assert engine in ENGINE_TABLE
+        runnable = {
+            "term": ("nbe", "smallstep", "applicative", "ra"),
+            "fixpoint": ("nbe", "smallstep", "applicative", "ra",
+                         "fixpoint"),
+            "spec": ("ra", "fixpoint"),
+        }[plan]
+        with QueryService() as service:
+            service.catalog.register_database(
+                "graph", Database.of({"E": chain_graph_relation(3)})
+            )
+            service.catalog.register_query(
+                "term", parse(r"\E. \c. \n. E (\x y T. c y x T) n"),
+                signature=QueryArity((2,), 2),
+            )
+            service.catalog.register_query(
+                "fixpoint", transitive_closure_query()
+            )
+            query = transitive_closure_query() if plan == "spec" else plan
+            response = service.execute(
+                QueryRequest(
+                    query=query, database="graph", engine=engine, fuel=100
+                )
+            )
+        if engine in runnable:
+            assert response.status in ("ok", "fuel_exhausted"), (
+                response.error
+            )
+        else:
+            assert response.status == "error"
+            assert all(repr(name) in response.error for name in runnable)
+
     def test_registered_fixpoint_keeps_its_tower_on_term_engines(self):
         with QueryService() as service:
             service.catalog.register_database(

@@ -405,6 +405,25 @@ class TestWorkerPool:
             sys.setswitchinterval(interval)
         assert errors == []
 
+    def test_snapshot_miss_leaves_the_mirror_exact(self):
+        """A digest-only task for a snapshot the worker lacks fails with
+        its own error kind and must not enter the coordinator's mirror:
+        the next task shipping the database under that digest has to
+        keep it."""
+        db = random_database([2], [4], seed=5)
+        term = parse(PARTITIONABLE_OPS["swap"])
+        with ShardWorkerPool(1) as pool:
+            miss = pool.run_task({"kind": "db", "db_digest": "dX"})
+            assert miss["error_kind"] == "snapshot"
+            assert "unknown database snapshot" in miss["error"]
+            reply = pool.run_task(
+                {"kind": "term", "db_digest": "dX", "database": db,
+                 "term": term, "arity": 2}
+            )
+            assert "dX" in pool._workers[0].seen
+        assert reply["ok"], reply.get("error")
+        assert reply["tuples"] == evaluate_single(term, db).tuples
+
     def test_concurrent_tasks_never_cross_replies(self):
         """Regression: the pool is shared across concurrent requests, so
         the per-worker slot lock must keep each send/recv pair atomic —
@@ -621,6 +640,62 @@ class TestServiceSharding:
         retries = shard_service.registry.get("repro_shard_retries_total")
         assert crashes.value() >= 1
         assert retries.value() >= 1
+
+
+class TestFixpointTowerSharding:
+    """A fixpoint plan shards only stage by stage.  On a reduction
+    engine its tower is reduced whole, so the plan is local-only
+    (TLI018) and runs in process."""
+
+    @pytest.fixture
+    def reach_service(self):
+        from repro.queries.fixpoint import reachability_query
+
+        service = QueryService()
+        service.catalog.register_database(
+            "main",
+            Database.of({
+                "S": Relation.unary(["o1"]),
+                "E": Relation.from_tuples(2, [("o1", "o2"), ("o2", "o4")]),
+            }),
+        )
+        service.catalog.register_query("reach", reachability_query())
+        yield service
+        service.close()
+
+    def test_tower_engine_runs_in_process(self, reach_service, monkeypatch):
+        import repro.shard.executor as executor
+
+        def refuse(**kwargs):
+            raise AssertionError("a fixpoint tower reached the shards")
+
+        monkeypatch.setattr(executor, "execute_sharded_term", refuse)
+        sharded = reach_service.execute(
+            QueryRequest(query="reach", database="main", engine="nbe",
+                         shards=2)
+        )
+        assert sharded.ok, sharded.error
+        assert "shard" not in sharded.profile
+        assert sharded.relation.as_set() == {("o1",), ("o2",), ("o4",)}
+        # The in-process run is cached under the unsharded key.
+        local = reach_service.execute(
+            QueryRequest(query="reach", database="main", engine="nbe")
+        )
+        assert local.cache_hit
+        assert local.relation.tuples == sharded.relation.tuples
+
+    @pytest.mark.parametrize("engine", ["nbe", "smallstep", "applicative"])
+    def test_error_fallback_names_tli018(self, reach_service, engine):
+        response = reach_service.execute(
+            QueryRequest(
+                query="reach",
+                database="main",
+                engine=engine,
+                shard_policy=ShardPolicy(shards=2, fallback="error"),
+            )
+        )
+        assert response.status == "error"
+        assert CODE_LOCAL_ONLY in response.error
 
 
 class TestTimeoutPoolReuse:
