@@ -430,11 +430,6 @@ class AnalysisReport:
         """No errors (warnings and infos allowed)."""
         return not self.errors()
 
-    def max_severity(self) -> Optional[Severity]:
-        if not self.diagnostics:
-            return None
-        return max(d.severity for d in self.diagnostics)
-
     # -- rendering -----------------------------------------------------------
 
     def as_dict(self) -> dict:

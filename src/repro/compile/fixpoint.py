@@ -1,32 +1,34 @@
-"""Set-at-a-time fixpoint iteration — the one set-level Theorem 5.2 loop.
+"""The one Theorem 5.2 stage loop, shared by every staged engine.
 
-:func:`repro.eval.ptime.run_fixpoint_query` already avoids the
-exponential redex towers by materializing each stage, but it still runs
-every stage through NBE: one normalization per RA operator per stage,
-plus a ``ListToFunc'``/``FuncToList'`` reencoding sweep over ``D^k``.
-For a certified fixpoint query none of that lambda machinery is needed:
-the step is an :class:`~repro.relalg.ast.RAExpr`, so each stage can be
-evaluated directly on Python sets via :func:`repro.relalg.engine
-.evaluate_ra` and compared by set equality.
+A TLI=1 query is evaluated stage by stage to its fixpoint (Theorem 5.2).
+:func:`run_fixpoint_query_compiled` is that loop.  It takes the stage as
+an argument and owns everything else: the TLI024 input check, the
+inputs-only domain and the ``|D|^k`` crank, set-equality convergence,
+the stage accounting and the final ``D^k`` sweep.  Every staged run goes
+through it:
 
-Soundness relative to the reduction semantics: the NBE evaluator
-reencodes every stage through ``FuncToList'``, which enumerates ``D^k``
-and keeps exactly the accepted tuples — i.e. the reencoding is the
-*identity on tuple sets* (stage outputs only ever contain constants of
-``D``).  Convergence there compares consecutive reencoded stages, which
-is set equality; so the set-based loop converges at the same stage with
-the same relation as a set, and under the inflationary wrapper the
-chain is monotone, letting the loop stop as soon as a stage adds no new
-tuples.
+* in process, with the stage of the engine's row in
+  :data:`repro.service.engines.ENGINE_TABLE`: :func:`set_stage` for
+  ``"ra"``, which evaluates the step on Python sets via
+  :func:`repro.relalg.engine.evaluate_ra`, and the NBE-materialized stage
+  for ``"fixpoint"``;
+* on shards, with the coordinator's fan-out stage
+  (:func:`repro.shard.executor.execute_sharded_fixpoint`), whose shard
+  tasks run the same row's stage.
 
-:func:`run_fixpoint_query_compiled` takes the stage step as an argument
-and owns everything else: the TLI024 input check, the inputs-only domain
-and the ``|D|^k`` crank, set-equality convergence, the stage accounting
-and the final ``D^k`` sweep.  Two steps run in it: :func:`set_stage`, the
-default, and the sharded coordinator's fan-out step
-(:func:`repro.shard.executor.execute_sharded_fixpoint`).  A semi-naive
-rewrite therefore changes this one loop: it would hand the step the
-frontier ``next - current`` next to the stage.
+A semi-naive rewrite therefore changes this one loop: it would hand the
+stage the frontier ``next - current`` next to the stage.
+
+Soundness relative to the reduction semantics: the whole-stage evaluator
+:func:`repro.eval.ptime.run_fixpoint_query` (the oracle the tests
+compare against) reencodes every stage through ``FuncToList'``, which
+enumerates ``D^k`` and keeps exactly the accepted tuples — i.e. the
+reencoding is the *identity on tuple sets* (stage outputs only ever
+contain constants of ``D``).  Convergence there compares consecutive
+reencoded stages, which is set equality; so this loop converges at the
+same stage with the same relation as a set, and under the inflationary
+wrapper the chain is monotone, letting the loop stop as soon as a stage
+adds no new tuples.
 
 The final relation is put in ``FuncToList'``'s order by one ``D^k``
 sweep over the domain list the lambda-level converter enumerates
@@ -35,7 +37,6 @@ sweep over the domain list the lambda-level converter enumerates
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import product as cartesian
 from typing import Callable, List, Optional, Set, Tuple
 
@@ -46,9 +47,20 @@ from repro.queries.fixpoint import FIX_NAME, FixpointQuery
 from repro.relalg.ast import ADOM_NAME, PRECEDES_PREFIX, Base, RAExpr, nodes
 from repro.relalg.engine import evaluate_ra
 
-#: One stage: the current stage in; the next stage and the work it took
-#: out.
-StageStep = Callable[[Relation], Tuple[Relation, int]]
+#: Receives step breakdown dicts (the :mod:`repro.obs.profiler` contract).
+Observer = Callable[[dict], None]
+
+#: One fixpoint stage: ``(step, inputs, stage, max_depth, observer)`` to
+#: the next stage and the work it took.  ``step`` runs over ``inputs``
+#: with ``stage`` bound to ``__FIX__``; ``max_depth`` budgets a stage
+#: that reduces terms; ``observer``, when given, receives the stage's
+#: step breakdowns.
+Stage = Callable[
+    [RAExpr, Database, Relation, int, Optional[Observer]],
+    Tuple[Relation, int],
+]
+
+DEFAULT_MAX_DEPTH = 600_000
 
 
 def step_read_set(query: FixpointQuery) -> Tuple[str, ...]:
@@ -88,46 +100,57 @@ def funclist_domain(inputs: Database) -> List[str]:
 
 
 def set_stage(
-    step: RAExpr, inputs: Database, stage: Relation
+    step: RAExpr,
+    inputs: Database,
+    stage: Relation,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+    observer: Optional[Observer] = None,
 ) -> Tuple[Relation, int]:
     """One set stage: ``step`` over ``inputs`` with ``stage`` bound to
     ``__FIX__``, costing the tuples it produced plus the ones it read
-    back."""
+    back.  It reduces no term, so ``max_depth`` is unused."""
     next_relation = evaluate_ra(step, inputs.with_relation(FIX_NAME, stage))
-    return next_relation, len(next_relation) + len(stage)
+    ops = len(next_relation) + len(stage)
+    if observer is not None:
+        observer({"steps": ops, "ra_ops": ops})
+    return next_relation, ops
 
 
 def run_fixpoint_query_compiled(
     query: FixpointQuery,
     database: Database,
     *,
-    step: Optional[StageStep] = None,
+    stage: Stage = set_stage,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+    observer: Optional[Observer] = None,
 ) -> FixpointRun:
-    """Iterate the fixpoint ``step`` (default :func:`set_stage`) set-at-a-time.
+    """Iterate ``stage`` (default :func:`set_stage`) to the fixpoint.
 
-    Mirrors :func:`repro.eval.ptime.run_fixpoint_query`'s contract —
-    same TLI024 schema validation, same ``|D|^k`` crank cap, same
-    ``stages`` / ``stage_sizes`` / ``converged_at`` accounting, same
-    tuple order — but the reported step count is the steps' own work
-    (for :func:`set_stage`, tuples produced and read back per stage) plus
-    the ``|D|^k`` sweep, which the Theorem 5.2 certificates bound a
-    fortiori.
+    Keeps :func:`repro.eval.ptime.run_fixpoint_query`'s contract — same
+    TLI024 schema validation, same ``|D|^k`` crank cap, same ``stages``
+    / ``stage_sizes`` / ``converged_at`` accounting, same tuple order —
+    but the reported step count is the stages' own work (for
+    :func:`set_stage`, tuples produced and read back per stage) plus the
+    ``|D|^k`` sweep, which the Theorem 5.2 certificates bound a
+    fortiori.  ``observer`` receives each stage's breakdowns and then
+    the sweep, so its step total equals the reported one.
     """
     inputs_db = query.input_database(database)
-    if step is None:
-        step = partial(set_stage, query.effective_step(), inputs_db)
+    step = query.effective_step()
     k = query.output_arity
     domain = funclist_domain(inputs_db)
     crank_length = len(domain) ** k
 
     ops = 0
     current: frozenset = frozenset()
-    stage = Relation.empty(k)
+    fix = Relation.empty(k)
     stage_sizes: List[int] = [0]
     converged_at: Optional[int] = None
     stages_run = 0
     for index in range(crank_length):
-        next_relation, stage_ops = step(stage)
+        next_relation, stage_ops = stage(
+            step, inputs_db, fix, max_depth, observer
+        )
         next_set = next_relation.as_set()
         ops += stage_ops
         stages_run += 1
@@ -135,7 +158,9 @@ def run_fixpoint_query_compiled(
         if next_set == current:
             converged_at = index + 1
             break
-        current, stage = next_set, next_relation
+        current, fix = next_set, next_relation
+    if observer is not None:
+        observer({"steps": crank_length})
 
     relation = Relation(
         k, tuple(row for row in cartesian(domain, repeat=k) if row in current)

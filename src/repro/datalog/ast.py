@@ -157,8 +157,5 @@ class Program:
             seen.setdefault(rule.head.predicate, None)
         return list(seen)
 
-    def rules_for(self, predicate: str) -> List[Rule]:
-        return [r for r in self.rules if r.head.predicate == predicate]
-
     def __str__(self) -> str:
         return "\n".join(str(rule) for rule in self.rules)

@@ -49,7 +49,7 @@ duplicate pattern match ``FuncToList'``'s domain enumeration exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.db.decode import DecodedRelation, decode_relation
 from repro.db.encode import encode_database, encode_relation
@@ -91,7 +91,6 @@ def run_fixpoint_query(
     style: str = "tli",
     stop_on_convergence: bool = True,
     max_depth: int = 1_000_000,
-    observer: Optional[Callable[[dict], None]] = None,
     read_trace: Optional[Set[str]] = None,
 ) -> FixpointRun:
     """Evaluate a fixpoint query over ``database`` in polynomial time.
@@ -103,10 +102,6 @@ def run_fixpoint_query(
     inflationary steps, and exactly how the paper argues the ``|D|^k``
     Crank length suffices.  Set it to False to run all ``|D|^k`` stages,
     mirroring the Crank literally.
-
-    ``observer`` receives one step-breakdown dict per stage normalization
-    (the :mod:`repro.obs.profiler` contract), so an accumulating observer
-    sees the same total the returned ``nbe_steps`` reports.
 
     ``read_trace`` (when supplied) collects the names of the database
     relations the evaluation actually consumed — the instrumented trace
@@ -151,9 +146,7 @@ def run_fixpoint_query(
 
     def normalize(term: Term) -> Term:
         nonlocal nbe_steps
-        normal, steps = nbe_normalize_counted(
-            term, max_depth=max_depth, observer=observer
-        )
+        normal, steps = nbe_normalize_counted(term, max_depth=max_depth)
         nbe_steps += steps
         return normal
 
@@ -197,7 +190,7 @@ def run_fixpoint_query(
         step_db = inputs_db.with_relation(FIX_NAME, stage_relation)
         step_run = run_ra_query_materialized(
             query.effective_step(), step_db, max_depth=max_depth,
-            observer=observer, read_trace=read_trace,
+            read_trace=read_trace,
         )
         # The step output is already deduplicated here (sound because
         # ListToFunc' only ever tests membership in its list argument —
@@ -240,12 +233,3 @@ def run_fixpoint_query(
         converged_at=converged_at,
         nbe_steps=nbe_steps,
     )
-
-
-def ptime_normalize_fixpoint(
-    query: FixpointQuery,
-    database: Database,
-    style: str = "tli",
-) -> Term:
-    """The normal form of ``(Fix r̄1 ... r̄l)`` computed stage-wise."""
-    return run_fixpoint_query(query, database, style=style).normal_form

@@ -4,10 +4,11 @@ The engines already *count* steps (that is what the Theorem 5.1/5.2 cost
 certificates bound); this module gives the count structure.  Engines
 accept an ``observer`` callable — see
 :func:`repro.lam.nbe.nbe_normalize_counted`,
-:func:`repro.lam.reduce.normalize`, and
-:func:`repro.eval.ptime.run_fixpoint_query` — which they invoke with a
-plain dict breakdown (``steps``/``beta``/``delta``/``let``/``quote``/
-``max_depth``) when the evaluation finishes *or* exhausts its fuel.  The
+:func:`repro.lam.reduce.normalize`, and the stage loop
+:func:`repro.compile.fixpoint.run_fixpoint_query_compiled` — which they
+invoke with a plain dict breakdown (``steps``/``beta``/``delta``/
+``let``/``quote``/``max_depth``) when the evaluation finishes *or*
+exhausts its fuel.  The
 engines stay dependency-free: they emit dicts, and this module provides
 the typed accumulator (:class:`ProfileCollector`) that merges the
 per-stage dicts of a fixpoint run into one :class:`ReductionProfile`.

@@ -1,17 +1,17 @@
-"""The engine table, and engine dispatch for term plans.
+"""The engine table: how each engine answers a term plan and runs a stage.
 
-:data:`ENGINE_TABLE` says, for each engine name, the two things the
-runtime, the catalog and the shard workers need to know:
+:data:`ENGINE_TABLE` gives, for each engine name, the two callables the
+runtime, the catalog and the shard workers dispatch through:
 
-======================  ===========  =====================================
-engine                  term plans   fixpoint stage
-======================  ===========  =====================================
-``"nbe"``               yes          none
-``"smallstep"``         yes          none
-``"applicative"``       yes          none
-``"ra"``                yes          the set stage (``set_stage``)
-``"fixpoint"``          no           the NBE-materialized stage
-======================  ===========  =====================================
+==================  ===================================  ==============================
+engine              ``term``: answers a term plan        ``stage``: one fixpoint stage
+==================  ===================================  ==============================
+``"nbe"``           normalization by evaluation          none
+``"smallstep"``     small-step, normal order             none
+``"applicative"``   small-step, applicative order        none
+``"ra"``            the plan compiler, NBE fallback      the set stage (``set_stage``)
+``"fixpoint"``      none                                 the NBE-materialized stage
+==================  ===================================  ==============================
 
 :func:`runs_staged` reads it once per (plan, engine) pair, for the
 catalog at registration and for :class:`~repro.service.catalog.Binding`
@@ -23,7 +23,10 @@ answers terms (a registered fixpoint plan's compiled tower included);
 any other pair is rejected with one error naming the engines that can
 run the plan.
 
-Term plans run on one of the :data:`ENGINES`:
+**Term plans.**  A row's ``term`` takes ``(query, inputs, *, fuel,
+max_depth, observer, output_arity)`` and returns an
+:class:`EngineResult`; :func:`evaluate_term_query` and the shard workers
+call it.
 
 * ``"nbe"`` — normalization by evaluation (:mod:`repro.lam.nbe`), the
   performance normalizer and the default;
@@ -40,6 +43,20 @@ Term plans run on one of the :data:`ENGINES`:
   ``"nbe"`` as the engine that ran and says why in ``fallback``.  The
   service runtime and the shard workers both rely on this one fallback.
 
+**Fixpoint stages.**  A row's ``stage`` is a
+:data:`repro.compile.fixpoint.Stage`: the step over the inputs with the
+current stage bound to ``__FIX__``, to the next stage and its work.
+Both staged engines run on the one Theorem 5.2 loop,
+:func:`repro.compile.fixpoint.run_fixpoint_query_compiled`, which owns
+the crank, convergence and ``FuncToList'`` order: in process the
+runtime hands it the row's stage, and a sharded request hands it a
+fan-out stage whose shard tasks run the row's stage.  ``"ra"`` evaluates
+the step on sets and counts tuples; ``"fixpoint"`` materializes each
+operator of the step through NBE and counts reduction steps.  The
+whole-stage evaluator :func:`repro.eval.ptime.run_fixpoint_query` is
+not on this path: it is the Theorem 5.2 oracle the tests compare both
+engines against.
+
 **Encodings live here.**  The Definition 3.1 encodings ``r̄1 ... r̄l``
 are the input format of the three reduction engines and of nothing
 else, so this module is where the serving path builds them: on first
@@ -49,21 +66,20 @@ An unchanged relation is therefore encoded once across updates, cache
 hits and shard tasks, and a relation that only ``"ra"`` reads is never
 encoded.  ``"ra"`` hands back the relation it computed; its term, when
 someone asks for it, is rebuilt from that relation.
-
-A whole fixpoint loop does not go through this module: in process the
-runtime runs ``"fixpoint"`` on the Theorem 5.2 stage-materializing
-evaluator (:func:`repro.eval.ptime.run_fixpoint_query`) and ``"ra"`` on
-the compiled set-level loop
-(:func:`repro.compile.fixpoint.run_fixpoint_query_compiled`); a sharded
-loop hands the compiled loop a fan-out step whose shard tasks run the
-table's stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
+from repro.compile.fixpoint import (
+    DEFAULT_MAX_DEPTH,
+    Observer,
+    Stage,
+    set_stage,
+)
 from repro.db.decode import DecodedRelation
 from repro.db.encode import encode_relation
 from repro.db.relations import Database, Relation
@@ -79,58 +95,22 @@ RA_ENGINE = "ra"
 #: The Theorem 5.2 stage-materializing engine's name (fixpoint specs only).
 FIXPOINT_ENGINE = "fixpoint"
 
-DEFAULT_MAX_DEPTH = 600_000
-
-_STRATEGIES = {
-    "smallstep": Strategy.NORMAL_ORDER,
-    "applicative": Strategy.APPLICATIVE_ORDER,
-}
-
-#: One fixpoint stage: ``(step, inputs, stage, max_depth)`` to the next
-#: stage and the work it took.
-Stage = Callable[[RAExpr, Database, Relation, int], Tuple[Relation, int]]
+#: Answers one term plan: ``(query, inputs, *, fuel, max_depth, observer,
+#: output_arity)`` to an :class:`EngineResult`.
+TermRun = Callable[..., "EngineResult"]
 
 
 @dataclass(frozen=True)
 class Engine:
-    """One row of :data:`ENGINE_TABLE`: whether the engine answers term
-    plans, and the fixpoint stage it runs (``None``: it runs none)."""
+    """One row of :data:`ENGINE_TABLE`: how the engine answers a term plan
+    and the fixpoint stage it runs (``None``: it does neither), and
+    whether it runs the plan compiler's set-backed code (the requests it
+    serves that way count as ``compiled`` in
+    ``repro_compile_requests_total``)."""
 
-    terms: bool
+    term: Optional[TermRun] = None
     stage: Optional[Stage] = None
-
-
-def _set_stage(
-    step: RAExpr, inputs: Database, stage: Relation, max_depth: int
-) -> Tuple[Relation, int]:
-    from repro.compile.fixpoint import set_stage
-
-    return set_stage(step, inputs, stage)
-
-
-def _materialized_stage(
-    step: RAExpr, inputs: Database, stage: Relation, max_depth: int
-) -> Tuple[Relation, int]:
-    from repro.eval.materialize import run_ra_query_materialized
-    from repro.queries.fixpoint import FIX_NAME
-
-    run = run_ra_query_materialized(
-        step, inputs.with_relation(FIX_NAME, stage), max_depth=max_depth
-    )
-    return run.relation, run.steps
-
-
-#: Every engine, in documentation order.
-ENGINE_TABLE: Dict[str, Engine] = {
-    "nbe": Engine(terms=True),
-    "smallstep": Engine(terms=True),
-    "applicative": Engine(terms=True),
-    RA_ENGINE: Engine(terms=True, stage=_set_stage),
-    FIXPOINT_ENGINE: Engine(terms=False, stage=_materialized_stage),
-}
-
-#: The engines that answer term plans, in documentation order.
-ENGINES = tuple(name for name, row in ENGINE_TABLE.items() if row.terms)
+    compiled: bool = False
 
 
 @dataclass(frozen=True)
@@ -205,13 +185,13 @@ def runs_staged(engine: str, name: str, *, term: bool, spec: bool) -> bool:
     row = validate_engine(engine)
     if spec and row.stage is not None:
         return True
-    if term and row.terms:
+    if term and row.term is not None:
         return False
     able = [
         repr(other)
         for other, candidate in ENGINE_TABLE.items()
         if (spec and candidate.stage is not None)
-        or (term and candidate.terms)
+        or (term and candidate.term is not None)
     ]
     raise EvaluationError(
         f"query {name!r} runs on {', '.join(able[:-1])} or {able[-1]}, "
@@ -226,10 +206,10 @@ def evaluate_term_query(
     engine: str = "nbe",
     fuel: int = DEFAULT_FUEL,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    observer: Optional[Callable[[dict], None]] = None,
+    observer: Optional[Observer] = None,
     output_arity: Optional[int] = None,
 ) -> EngineResult:
-    """Answer ``query`` over ``inputs`` on the selected engine.
+    """Answer ``query`` over ``inputs`` by the ``term`` of ``engine``'s row.
 
     For the reduction engines that is Definition 3.10: normalize
     ``(query r̄1 ... r̄l)``.  ``inputs`` is the database (encoded here, per
@@ -244,46 +224,111 @@ def evaluate_term_query(
     :mod:`repro.obs.profiler` contract); step totals are unchanged by it.
     """
     runs_staged(engine, "<term>", term=True, spec=False)
-    fallback: Optional[str] = None
-    if engine == RA_ENGINE:
-        if not isinstance(inputs, Database):
-            raise EvaluationError(
-                'engine "ra" needs the database relations, not only the '
-                "encodings"
-            )
-        from repro.compile import CompileFallback, compile_term_plan
+    run = ENGINE_TABLE[engine].term
+    assert run is not None, engine
+    return run(
+        query, inputs, fuel=fuel, max_depth=max_depth, observer=observer,
+        output_arity=output_arity,
+    )
 
-        fallback = 'engine "ra" needs the certified output arity'
-        if output_arity is not None:
-            try:
-                plan = compile_term_plan(query, inputs.arities, output_arity)
-                run = plan.execute(inputs)
-            except (CompileFallback, EvaluationError, SchemaError) as exc:
-                fallback = str(exc)
-            else:
-                if observer is not None:
-                    # "steps" keeps ProfileCollector totals meaningful;
-                    # the dedicated key marks them as set-executor
-                    # operations, not reduction steps.
-                    observer({"steps": run.ops, "ra_ops": run.ops})
-                return EngineResult(
-                    engine=engine, steps=run.ops, decoded=run.decoded
-                )
-        engine = "nbe"
+
+def _applied(query: Term, inputs: Union[Database, Sequence[Term]]) -> Term:
     if isinstance(inputs, Database):
         inputs = encoded_inputs(inputs)
-    applied = app(query, *inputs)
-    if engine == "nbe":
-        normal_form, steps = nbe_normalize_counted(
-            applied, max_depth=max_depth, fuel=fuel, observer=observer
-        )
-        return EngineResult(
-            engine=engine, steps=steps, reduced_form=normal_form,
-            fallback=fallback,
-        )
+    return app(query, *inputs)
+
+
+def _nbe(
+    query, inputs, *, fuel, max_depth, observer, output_arity=None,
+    fallback: Optional[str] = None,
+) -> EngineResult:
+    normal_form, steps = nbe_normalize_counted(
+        _applied(query, inputs), max_depth=max_depth, fuel=fuel,
+        observer=observer,
+    )
+    return EngineResult(
+        engine="nbe", steps=steps, reduced_form=normal_form,
+        fallback=fallback,
+    )
+
+
+def _reduce(
+    engine: str, strategy: Strategy, query, inputs, *, fuel, max_depth,
+    observer, output_arity,
+) -> EngineResult:
     outcome = normalize(
-        applied, _STRATEGIES[engine], fuel=fuel, observer=observer
+        _applied(query, inputs), strategy, fuel=fuel, observer=observer
     )
     return EngineResult(
         engine=engine, steps=outcome.steps, reduced_form=outcome.term
     )
+
+
+def _ra(
+    query, inputs, *, fuel, max_depth, observer, output_arity
+) -> EngineResult:
+    if not isinstance(inputs, Database):
+        raise EvaluationError(
+            'engine "ra" needs the database relations, not only the '
+            "encodings"
+        )
+    from repro.compile import CompileFallback, compile_term_plan
+
+    fallback = 'engine "ra" needs the certified output arity'
+    if output_arity is not None:
+        try:
+            plan = compile_term_plan(query, inputs.arities, output_arity)
+            run = plan.execute(inputs)
+        except (CompileFallback, EvaluationError, SchemaError) as exc:
+            fallback = str(exc)
+        else:
+            if observer is not None:
+                # "steps" keeps ProfileCollector totals meaningful; the
+                # dedicated key marks them as set-executor operations,
+                # not reduction steps.
+                observer({"steps": run.ops, "ra_ops": run.ops})
+            return EngineResult(
+                engine=RA_ENGINE, steps=run.ops, decoded=run.decoded
+            )
+    return _nbe(
+        query, inputs, fuel=fuel, max_depth=max_depth, observer=observer,
+        fallback=fallback,
+    )
+
+
+def _materialized_stage(
+    step: RAExpr,
+    inputs: Database,
+    stage: Relation,
+    max_depth: int,
+    observer: Optional[Observer] = None,
+) -> Tuple[Relation, int]:
+    """One stage by per-operator NBE materialization, counting reduction
+    steps.  ``run_ra_query_materialized`` is looked up per call."""
+    from repro.eval.materialize import run_ra_query_materialized
+    from repro.queries.fixpoint import FIX_NAME
+
+    run = run_ra_query_materialized(
+        step, inputs.with_relation(FIX_NAME, stage), max_depth=max_depth,
+        observer=observer,
+    )
+    return run.relation, run.steps
+
+
+#: Every engine, in documentation order.
+ENGINE_TABLE: Dict[str, Engine] = {
+    "nbe": Engine(term=_nbe),
+    "smallstep": Engine(
+        term=partial(_reduce, "smallstep", Strategy.NORMAL_ORDER)
+    ),
+    "applicative": Engine(
+        term=partial(_reduce, "applicative", Strategy.APPLICATIVE_ORDER)
+    ),
+    RA_ENGINE: Engine(term=_ra, stage=set_stage, compiled=True),
+    FIXPOINT_ENGINE: Engine(stage=_materialized_stage),
+}
+
+#: The engines that answer term plans, in documentation order.
+ENGINES = tuple(
+    name for name, row in ENGINE_TABLE.items() if row.term is not None
+)

@@ -13,12 +13,14 @@ One request = one (query plan, database) pair plus budgets.  The runtime
 2. consults the :class:`~repro.service.cache.ResultCache` under a
    *single-flight* lock, so N concurrent identical requests cost one
    evaluation and N-1 waits;
-3. on a miss, evaluates on the plan's engine under the request's
-   fuel/depth budgets, the way the binding decided from the engine table
-   (:mod:`repro.service.engines`): a term plan, or a fixpoint plan's
-   tower, as a whole term; a fixpoint spec stage by stage, on the
-   Theorem 5.2 stage evaluator (``fixpoint``) or the compiled set-level
-   loop (``ra``), in process or fanned out over shards;
+3. on a miss, evaluates through the engine's row of the engine table
+   (:mod:`repro.service.engines`) under the request's fuel/depth
+   budgets, the way the binding decided: a term plan, or a fixpoint
+   plan's tower, as a whole term by the row's ``term``; a fixpoint spec
+   stage by stage, on the one Theorem 5.2 stage loop
+   (:func:`~repro.compile.fixpoint.run_fixpoint_query_compiled`) with
+   the row's ``stage`` (``ra`` and ``fixpoint`` alike), in process or
+   fanned out over shards;
 4. degrades gracefully: an exhausted budget is a ``fuel_exhausted``
    *response*, not an exception out of the batch.
 
@@ -101,8 +103,8 @@ from repro.service.catalog import (
 )
 from repro.service.engines import (
     DEFAULT_MAX_DEPTH,
+    ENGINE_TABLE,
     FIXPOINT_ENGINE,
-    RA_ENGINE,
     EngineResult,
     evaluate_term_query,
     relation_term,
@@ -385,13 +387,17 @@ class QueryService:
         if request.timeout_s is None:
             return self._serve(request)
         start = time.perf_counter()
+        closed = "service closed before the request could run ({})"
         try:
             future = self._timeout_executor().submit(self._serve, request)
         except (ReproError, RuntimeError) as exc:
             # The service closed between the caller's check and the
             # submit (RuntimeError: "cannot schedule new futures after
             # shutdown").  A closed service answers, it does not raise.
-            return self._closed_response(request, start, exc)
+            return self._observe(self._unanswered(
+                request, STATUS_ERROR, closed.format(exc),
+                (time.perf_counter() - start) * 1000.0,
+            ))
         try:
             return future.result(timeout=request.timeout_s)
         except FutureTimeout:
@@ -400,11 +406,18 @@ class QueryService:
             # Cancelling drops evaluations the shared pool has not started
             # yet, so sustained timeouts cannot queue useless work.
             future.cancel()
-            return self._timed_out(request, request.timeout_s * 1000.0)
+            return self._observe(self._unanswered(
+                request, STATUS_TIMEOUT,
+                f"request missed its {request.timeout_s}s deadline",
+                request.timeout_s * 1000.0,
+            ))
         except CancelledError as exc:
             # close() cancelled the queued future before a worker picked
             # it up.
-            return self._closed_response(request, start, exc)
+            return self._observe(self._unanswered(
+                request, STATUS_ERROR, closed.format(exc),
+                (time.perf_counter() - start) * 1000.0,
+            ))
 
     def _timeout_executor(self) -> ThreadPoolExecutor:
         """The shared deadline-watch pool (created on first timed request,
@@ -451,23 +464,6 @@ class QueryService:
         if shard_pool is not None:
             shard_pool.close()
 
-    def _closed_response(
-        self, request: QueryRequest, start: float, exc: BaseException
-    ) -> QueryResponse:
-        response = QueryResponse(
-            status=STATUS_ERROR,
-            query=self._query_label(request),
-            database=self._database_label(request),
-            database_version=0,
-            engine=request.engine or "?",
-            error=f"service closed before the request could run ({exc})",
-            wall_ms=(time.perf_counter() - start) * 1000.0,
-            tag=request.tag,
-            trace_id=request.trace_id,
-        )
-        self._observe(response)
-        return response
-
     def __enter__(self) -> "QueryService":
         return self
 
@@ -499,12 +495,11 @@ class QueryService:
                 try:
                     responses.append(future.result(timeout=remaining))
                 except FutureTimeout:
-                    responses.append(
-                        self._timed_out(
-                            request,
-                            (time.perf_counter() - start) * 1000.0,
-                        )
-                    )
+                    responses.append(self._observe(self._unanswered(
+                        request, STATUS_TIMEOUT,
+                        f"request missed its {request.timeout_s}s deadline",
+                        (time.perf_counter() - start) * 1000.0,
+                    )))
         finally:
             # Abandoned workers (timeouts) keep running to their bounded
             # budget in the background; the batch does not wait for them.
@@ -596,15 +591,9 @@ class QueryService:
             try:
                 response = self._serve_inner(request, start, extras)
             except (ReproError, RecursionError) as exc:
-                response = QueryResponse(
-                    status=STATUS_ERROR,
-                    query=self._query_label(request),
-                    database=self._database_label(request),
-                    database_version=0,
-                    engine=request.engine or "?",
-                    error=str(exc),
-                    wall_ms=(time.perf_counter() - start) * 1000.0,
-                    tag=request.tag,
+                response = self._unanswered(
+                    request, STATUS_ERROR, str(exc),
+                    (time.perf_counter() - start) * 1000.0,
                 )
             span.set_attr("engine", response.engine)
             span.set_attr("cache_hit", response.cache_hit)
@@ -630,8 +619,7 @@ class QueryService:
                         report = stored
             if request.explain:
                 response.explain = report
-        self._observe(response, exemplar_recorded=recorded)
-        return response
+        return self._observe(response, exemplar_recorded=recorded)
 
     def _serve_inner(
         self,
@@ -704,8 +692,8 @@ class QueryService:
                         # invalidation would have recomputed this.
                         self.cache.count_provenance_save()
                         self._metrics["provenance_saves"].inc()
-                    return self._from_cache(
-                        request, binding, cached, arity, start
+                    return self._answer(
+                        request, binding, cached, arity, start, hit=True
                     )
                 self._metrics["cache_misses"].inc()
                 # An explicit request budget wins; otherwise the plan's
@@ -746,24 +734,8 @@ class QueryService:
         finally:
             self._release_key(key)
 
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        return QueryResponse(
-            status=STATUS_OK,
-            query=query.name,
-            database=db_entry.name,
-            database_version=db_entry.version,
-            # What actually ran ("ra" may have degraded to "nbe").
-            engine=computed.engine,
-            relation=computed.relation,
-            reduced_form=computed.normal_form,
-            steps=computed.steps,
-            stages=computed.stages,
-            fuel_budget=computed.fuel_budget,
-            cache_hit=False,
-            wall_ms=wall_ms,
-            compute_wall_ms=computed.compute_wall_ms,
-            tag=request.tag,
-            profile=computed.profile,
+        return self._answer(
+            request, binding, computed, arity, start, hit=False
         )
 
     def _evaluate(
@@ -785,34 +757,27 @@ class QueryService:
             )
         query, engine = binding.query, binding.engine
         database = binding.database.database
-        ran_engine = engine
+        row = ENGINE_TABLE[engine]
         if binding.staged:
+            # Every staged engine runs the one stage loop with its row's
+            # stage, in process as on shards.
+            assert row.stage is not None, engine
             with tracer.span("evaluate", engine=engine) as span:
                 try:
-                    if engine == FIXPOINT_ENGINE:
-                        from repro.eval.ptime import run_fixpoint_query
-
-                        run = run_fixpoint_query(
-                            query.fixpoint,
-                            database,
-                            max_depth=request.max_depth,
-                            observer=collector,
-                        )
-                    else:
-                        # The set-based fixpoint runner: RA stages on
-                        # Python sets, no lambda tower anywhere.
-                        run = run_fixpoint_query_compiled(
-                            query.fixpoint, database
-                        )
-                        collector({"steps": run.nbe_steps})
-                        self._compile_metrics["compile_requests"].inc(
-                            path="compiled"
-                        )
+                    run = run_fixpoint_query_compiled(
+                        query.fixpoint,
+                        database,
+                        stage=row.stage,
+                        max_depth=request.max_depth,
+                        observer=collector,
+                    )
                 finally:
                     self._annotate_evaluation(span, collector)
                 span.set_attr("stages", run.stages)
-            decoded, normal_form = run.decoded, run.normal_form
-            steps: Optional[int] = run.nbe_steps
+            result = EngineResult(
+                engine=engine, steps=run.nbe_steps, decoded=run.decoded
+            )
+            decoded = run.decoded
             stages: Optional[int] = run.stages
             budget: Optional[int] = None
         else:
@@ -836,38 +801,29 @@ class QueryService:
                         observer=collector,
                         output_arity=arity,
                     )
-                    if result.fallback is not None:
-                        self._compile_metrics[
-                            "compile_runtime_fallbacks"
-                        ].inc()
-                        self._compile_metrics["compile_requests"].inc(
-                            path="fallback"
-                        )
-                        span.set_attr("compile_fallback", result.fallback)
-                    elif engine == RA_ENGINE:
-                        self._compile_metrics["compile_requests"].inc(
-                            path="compiled"
-                        )
                 finally:
                     self._annotate_evaluation(span, collector)
+                if result.fallback is not None:
+                    span.set_attr("compile_fallback", result.fallback)
             with tracer.span("decode"):
                 decoded = _decoded(result, arity)
-            ran_engine = result.engine
-            normal_form = result.reduced_form
-            steps = result.steps
-            stages = None
-            budget = fuel
+            stages, budget = None, fuel
+        if result.fallback is not None:
+            self._compile_metrics["compile_runtime_fallbacks"].inc()
+            self._compile_metrics["compile_requests"].inc(path="fallback")
+        elif row.compiled:
+            self._compile_metrics["compile_requests"].inc(path="compiled")
         compute_ms = (time.perf_counter() - compute_start) * 1000.0
         return CachedResult(
             relation=decoded.relation,
             decoded=decoded,
-            normal_form=normal_form,
-            engine=ran_engine,
-            steps=steps,
+            normal_form=result.reduced_form,
+            engine=result.engine,
+            steps=result.steps,
             stages=stages,
             compute_wall_ms=compute_ms,
             fuel_budget=budget,
-            profile=self._finish_profile(collector, binding, steps),
+            profile=self._finish_profile(collector, binding, result.steps),
             database_version=binding.database.version,
         )
 
@@ -1226,35 +1182,57 @@ class QueryService:
             "tightening_ratio": tightening,
         }
 
-    def _from_cache(
+    def _answer(
         self,
         request: QueryRequest,
         binding: Binding,
-        cached: CachedResult,
+        result: CachedResult,
         arity: Optional[int],
         start: float,
+        *,
+        hit: bool,
     ) -> QueryResponse:
-        if arity is not None and cached.relation.arity != arity:
+        """The ``ok`` response carrying ``result``, computed by this
+        request or read from the cache (``hit``)."""
+        if arity is not None and result.relation.arity != arity:
             raise ReproError(
                 f"query {binding.query.name!r} produced arity "
-                f"{cached.relation.arity}, request asserts {arity}"
+                f"{result.relation.arity}, request asserts {arity}"
             )
         return QueryResponse(
             status=STATUS_OK,
             query=binding.query.name,
             database=binding.database.name,
             database_version=binding.database.version,
-            engine=cached.engine,
-            relation=cached.relation,
-            reduced_form=cached.normal_form,
-            steps=cached.steps,
-            stages=cached.stages,
-            fuel_budget=cached.fuel_budget,
-            cache_hit=True,
+            # What actually ran ("ra" may have degraded to "nbe").
+            engine=result.engine,
+            relation=result.relation,
+            reduced_form=result.normal_form,
+            steps=result.steps,
+            stages=result.stages,
+            fuel_budget=result.fuel_budget,
+            cache_hit=hit,
             wall_ms=(time.perf_counter() - start) * 1000.0,
-            compute_wall_ms=cached.compute_wall_ms,
+            compute_wall_ms=result.compute_wall_ms,
             tag=request.tag,
-            profile=cached.profile,
+            profile=result.profile,
+        )
+
+    def _unanswered(
+        self, request: QueryRequest, status: str, error: str, wall_ms: float
+    ) -> QueryResponse:
+        """A response without an answer (an error, a missed deadline, a
+        closed service), labelled from the request alone."""
+        return QueryResponse(
+            status=status,
+            query=self._query_label(request),
+            database=self._database_label(request),
+            database_version=0,
+            engine=request.engine or "?",
+            error=error,
+            wall_ms=wall_ms,
+            tag=request.tag,
+            trace_id=request.trace_id,
         )
 
     # -- database updates ----------------------------------------------------
@@ -1309,10 +1287,11 @@ class QueryService:
 
     def _observe(
         self, response: QueryResponse, *, exemplar_recorded: bool = False
-    ) -> None:
+    ) -> QueryResponse:
         """Fold one finished response into the registry (and the slow-query
-        log).  Called for every response, including synthesized timeout
-        responses — matching the pre-registry counting semantics.
+        log) and hand it back.  Called for every response, including
+        synthesized timeout responses — matching the pre-registry counting
+        semantics.
 
         ``exemplar_recorded`` marks responses whose explain report the
         flight recorder retained: their trace id is stamped onto the
@@ -1365,22 +1344,6 @@ class QueryService:
                     "cache_key": response.cache_key,
                 },
             )
-
-    def _timed_out(
-        self, request: QueryRequest, wall_ms: float
-    ) -> QueryResponse:
-        response = QueryResponse(
-            status=STATUS_TIMEOUT,
-            query=self._query_label(request),
-            database=self._database_label(request),
-            database_version=0,
-            engine=request.engine or "?",
-            error=f"request missed its {request.timeout_s}s deadline",
-            wall_ms=wall_ms,
-            tag=request.tag,
-            trace_id=request.trace_id,
-        )
-        self._observe(response)
         return response
 
     @staticmethod

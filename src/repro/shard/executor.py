@@ -14,9 +14,9 @@ whole never gets here: it is local-only (TLI018) and runs in process.
 
 * :func:`execute_sharded_term` — one task per shard, single round; the
   relation comes back in canonical (the merge combiner's sorted) order.
-* :func:`execute_sharded_fixpoint` — hands the compiled Theorem 5.2 stage
+* :func:`execute_sharded_fixpoint` — hands the one Theorem 5.2 stage
   loop (:func:`repro.compile.fixpoint.run_fixpoint_query_compiled`) a
-  fan-out step: each stage runs on every shard, by the request's
+  fan-out stage: each stage runs on every shard, by the request's
   engine's stage, with the current stage relation broadcast as
   ``__FIX__``, and the shard outputs are merged (the stage barrier is
   what makes broadcast of the fixpoint variable sound).  The loop checks
@@ -325,12 +325,13 @@ def execute_sharded_fixpoint(
     """Run the compiled stage loop with each stage fanned over the shards.
 
     :func:`~repro.compile.fixpoint.run_fixpoint_query_compiled` owns the
-    input check, the crank, convergence and the ``D^k`` order; this
-    hands it a step that ships the current (global) stage to every shard
-    as ``__FIX__``, evaluates ``effective_step`` there by ``engine``'s
-    stage in the engine table (set stages for ``"ra"``, NBE-materialized
-    stages for ``"fixpoint"``), and merges the shard outputs.  The stage
-    barrier is what makes broadcasting the fixpoint variable sound.
+    input check, the crank, convergence and the ``D^k`` order, as it does
+    in process; this hands it a stage that ships the current (global)
+    stage to every shard as ``__FIX__``, evaluates the step there by
+    ``engine``'s stage in the engine table (set stages for ``"ra"``,
+    NBE-materialized stages for ``"fixpoint"``), and merges the shard
+    outputs.  The stage barrier is what makes broadcasting the fixpoint
+    variable sound.
     """
     # TLI024 before the partitioner meets a missing input (the loop
     # repeats the check before its first stage).
@@ -339,7 +340,6 @@ def execute_sharded_fixpoint(
     shards, partitioned, keys = _partition(
         database, db_digest, policy, plan, tracer
     )
-    expr = fixpoint.effective_step()
     shard_steps = [0] * policy.shards
     shard_meta = [
         {"worker": index % pool.size, "retries": 0, "degraded": False}
@@ -351,7 +351,9 @@ def execute_sharded_fixpoint(
         "shard.evaluate", engine=engine, tasks=policy.shards
     ) as span:
 
-        def fan_out(stage: Relation) -> Tuple[Relation, int]:
+        def fan_out(step, inputs, stage, depth, observer):
+            # A Stage whose shards hold their own partitions of the
+            # inputs and report their steps in the replies.
             nonlocal first_stage
             tasks = [
                 {
@@ -359,10 +361,10 @@ def execute_sharded_fixpoint(
                     "engine": engine,
                     "db_digest": keys[index],
                     "database": shards[index],
-                    "expr": expr,
+                    "expr": step,
                     "fix_tuples": stage.tuples,
                     "fix_arity": arity,
-                    "max_depth": max_depth,
+                    "max_depth": depth,
                 }
                 for index in range(policy.shards)
             ]
@@ -383,7 +385,9 @@ def execute_sharded_fixpoint(
                 shard_meta[index]["degraded"] |= reply["_meta"]["degraded"]
             return merge_relations(parts, arity=arity), stage_steps
 
-        run = run_fixpoint_query_compiled(fixpoint, database, step=fan_out)
+        run = run_fixpoint_query_compiled(
+            fixpoint, database, stage=fan_out, max_depth=max_depth
+        )
         span.set_attr("stages", run.stages)
         span.set_attr("steps", run.nbe_steps)
         span.set_attr(

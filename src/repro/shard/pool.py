@@ -17,14 +17,15 @@ Snapshots are plain relations: a worker encodes a relation
 once per snapshot.
 
 Two task kinds evaluate, through one body: resolve the snapshot, then
-run.  A ``term`` task answers a term plan over its snapshot on the
-task's engine (:func:`repro.service.engines.evaluate_term_query`).  An
-``ra`` task is one fixpoint stage of a sharded Theorem 5.2 loop: the
-step over the snapshot, with the broadcast stage bound to ``__FIX__``,
-run by the stage the engine table
-(:data:`repro.service.engines.ENGINE_TABLE`) gives the task's engine —
-for ``"ra"`` the in-process loop's set stage (counting set ops), for
-``"fixpoint"`` the NBE-materialized stage (counting reduction steps).
+run by the row the engine table
+(:data:`repro.service.engines.ENGINE_TABLE`) gives the task's engine.
+A ``term`` task answers a term plan over its snapshot by the row's
+``term``.  An ``ra`` task is one fixpoint stage of a sharded Theorem 5.2
+loop (the coordinator runs the same loop a request runs in process):
+the step over the snapshot, with the broadcast stage bound to
+``__FIX__``, by the row's ``stage`` — for ``"ra"`` the set stage
+(counting set ops), for ``"fixpoint"`` the NBE-materialized stage
+(counting reduction steps).
 
 Reliability model:
 
@@ -146,43 +147,35 @@ def _resolve_database(task: dict, cache: BoundedLRU) -> Database:
     return database
 
 
-def _evaluate_term(task: dict, database: Database, engine: str):
+def _evaluate(task: dict, database: Database, engine: str):
+    """Run the task by the row of its engine: a ``term`` task by the
+    row's ``term`` (``"ra"`` degrades to NBE per shard inside it), an
+    ``ra`` task by the row's ``stage``."""
     from repro.db.decode import decode_relation
-    from repro.service.engines import evaluate_term_query
-
-    # "ra" degrades to NBE per shard inside the engine call (same
-    # relation, reduction semantics).
-    result = evaluate_term_query(
-        task["term"],
-        database,
-        engine=engine,
-        fuel=task.get("fuel"),
-        max_depth=task.get("max_depth", 600_000),
-        output_arity=task.get("arity"),
-    )
-    decoded = result.decoded or decode_relation(
-        result.normal_form, task.get("arity")
-    )
-    return decoded.relation, result.steps, result.fallback is not None
-
-
-def _evaluate_stage(task: dict, database: Database, engine: str):
     from repro.service.engines import validate_engine
 
-    stage = validate_engine(engine).stage
-    if stage is None:
-        raise ReproError(f"engine {engine!r} runs no fixpoint stage")
-    relation, steps = stage(
-        task["expr"],
-        database,
-        Relation.from_tuples(task["fix_arity"], task["fix_tuples"]),
-        task.get("max_depth", 600_000),
-    )
-    return relation, steps, False
-
-
-#: What each task kind that evaluates over a snapshot runs.
-_EVALUATORS = {"term": _evaluate_term, "ra": _evaluate_stage}
+    row = validate_engine(engine)
+    max_depth = task.get("max_depth", 600_000)
+    if task["kind"] == "term" and row.term is not None:
+        result = row.term(
+            task["term"], database, fuel=task.get("fuel"),
+            max_depth=max_depth, observer=None,
+            output_arity=task.get("arity"),
+        )
+        decoded = result.decoded or decode_relation(
+            result.normal_form, task.get("arity")
+        )
+        return decoded.relation, result.steps, result.fallback is not None
+    if task["kind"] == "ra" and row.stage is not None:
+        relation, steps = row.stage(
+            task["expr"],
+            database,
+            Relation.from_tuples(task["fix_arity"], task["fix_tuples"]),
+            max_depth,
+            None,
+        )
+        return relation, steps, False
+    raise ReproError(f"engine {engine!r} runs no {task['kind']!r} task")
 
 
 def execute_task(task: dict, cache: Optional[BoundedLRU] = None) -> dict:
@@ -207,7 +200,7 @@ def execute_task(task: dict, cache: Optional[BoundedLRU] = None) -> dict:
         if kind == "db":
             _resolve_database(task, cache)
             return {"ok": True, "kind": "db"}
-        if kind not in _EVALUATORS:
+        if kind not in ("term", "ra"):
             return {"ok": False, "error_kind": "error",
                     "error": f"unknown task kind {kind!r}"}
         engine = task.get("engine", "nbe")
@@ -225,7 +218,7 @@ def execute_task(task: dict, cache: Optional[BoundedLRU] = None) -> dict:
             ):
                 database = _resolve_database(task, cache)
             with recorder.span("worker.evaluate", engine=engine) as span:
-                relation, steps, fell_back = _EVALUATORS[kind](
+                relation, steps, fell_back = _evaluate(
                     task, database, engine
                 )
                 if fell_back:
@@ -381,9 +374,6 @@ class ShardWorkerPool:
             while len(self._workers) < count:
                 self._workers.append(self._spawn(len(self._workers)))
                 self._worker_locks.append(threading.Lock())
-
-    def worker_pids(self) -> List[Optional[int]]:
-        return [w.process.pid for w in self._workers]
 
     def respawn_counts(self) -> List[int]:
         return [w.respawns for w in self._workers]

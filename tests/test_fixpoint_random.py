@@ -1,9 +1,12 @@
-"""Property test: random single-IDB Datalog programs through both engines.
+"""Property test: random single-IDB Datalog programs through every engine.
 
 Generates random safe programs over a binary EDB ``e`` and unary EDB ``v``
 with one recursive IDB ``p``, and checks that the Theorem 5.2 evaluator of
 the compiled TLI=1 term computes the same relation as the bottom-up
 Datalog engine under inflationary semantics — across random databases.
+Both staged service engines (``fixpoint`` and ``ra``), which run the one
+stage loop with their engine-table stage, must then return that
+evaluator's tuples in its order, its stages and its normal form.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -13,9 +16,13 @@ from repro.datalog.ast import Literal, Program, RVar, Rule
 from repro.datalog.compile import datalog_to_fixpoint
 from repro.datalog.engine import evaluate_program
 from repro.db.generators import random_graph_relation
+from repro.compile.fixpoint import run_fixpoint_query_compiled
 from repro.db.relations import Database, Relation
 from repro.errors import SchemaError
 from repro.eval.ptime import run_fixpoint_query
+from repro.lam.terms import digest
+from repro.service import QueryRequest, QueryService
+from repro.service.engines import ENGINE_TABLE
 
 IDB_ARITY = 2
 VARS = ["X", "Y", "Z"]
@@ -78,5 +85,22 @@ def test_lambda_fixpoint_matches_datalog_engine(program, seed):
     baseline = evaluate_program(
         program, db, semantics="inflationary"
     )["p"]
-    run = run_fixpoint_query(datalog_to_fixpoint(program), db)
+    query = datalog_to_fixpoint(program)
+    run = run_fixpoint_query(query, db)
     assert run.relation.same_set(baseline), str(program)
+    with QueryService() as service:
+        for engine in ("fixpoint", "ra"):
+            response = service.execute(
+                QueryRequest(query=query, database=db, engine=engine)
+            )
+            assert response.ok, (engine, response.error)
+            assert response.relation.tuples == run.relation.tuples, (
+                engine, str(program),
+            )
+            assert response.stages == run.stages, engine
+            assert digest(response.normal_form) == digest(run.normal_form)
+            staged = run_fixpoint_query_compiled(
+                query, db, stage=ENGINE_TABLE[engine].stage
+            )
+            assert staged.stage_sizes == run.stage_sizes, engine
+            assert staged.converged_at == run.converged_at, engine

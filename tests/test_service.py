@@ -233,6 +233,13 @@ class TestExecute:
             QueryRequest(query="swap", database="main", arity=3)
         )
         assert response.status == "error"
+        # A staged plan too: on the miss as on the hit that follows it.
+        graph = Database.of({"E": chain_graph_relation(3)})
+        request = QueryRequest(
+            query=transitive_closure_query(), database=graph, arity=3
+        )
+        for _ in range(2):
+            assert service.execute(request).status == "error"
 
     def test_fixpoint_plan(self):
         service = QueryService()
